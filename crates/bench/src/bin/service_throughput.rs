@@ -1,5 +1,6 @@
 //! Measures `pact-service` throughput on a mixed benchgen workload:
-//! requests/s and p50/p99 end-to-end latency (queue wait + count).
+//! requests/s and p50/p99 end-to-end latency (admission backoff + queue
+//! wait + count).
 //!
 //! Usage:
 //!

@@ -5,7 +5,8 @@
 //! measured here rather than asserted: the workload interleaves many short
 //! incremental counts with periodic hard cube-and-conquer counts — the
 //! mixed shape the admission queue and priority lanes exist for — and the
-//! summary records end-to-end latency (queue wait + count wall time) as
+//! summary records end-to-end latency (from the first submit attempt, so
+//! `QueueFull` backoff counts, through queue wait and count wall time) as
 //! p50/p99 alongside aggregate requests/s and per-shard service counts.
 //!
 //! Results serialize as bench JSON schema v9 (see
@@ -100,7 +101,8 @@ pub struct ThroughputSummary {
     pub elapsed_seconds: f64,
     /// Completed requests per wall-clock second.
     pub requests_per_sec: f64,
-    /// Median end-to-end latency (queue wait + count), seconds.
+    /// Median end-to-end latency (admission backoff + queue wait + count),
+    /// seconds.
     pub p50_seconds: f64,
     /// 99th-percentile end-to-end latency, seconds.
     pub p99_seconds: f64,
@@ -188,6 +190,7 @@ pub fn run_service_workload(
     for k in 0..params.requests {
         let instance = &instances[k % instances.len()];
         let snapshot = &snapshots[k % instances.len()];
+        let first_attempt = Instant::now();
         let handle = loop {
             match service.submit(workload_request(instance, snapshot, k, params)) {
                 Ok(handle) => break handle,
@@ -197,11 +200,11 @@ pub fn run_service_workload(
                 Err(e) => panic!("service rejected workload request: {e}"),
             }
         };
-        handles.push((k, handle));
+        handles.push((k, first_attempt.elapsed().as_secs_f64(), handle));
     }
     let mut records = Vec::with_capacity(params.requests);
     let mut latencies = Vec::with_capacity(params.requests);
-    for (k, handle) in &mut handles {
+    for (k, backoff_seconds, handle) in &mut handles {
         let instance = &instances[*k % instances.len()];
         let report = handle.wait().expect("workload request completed");
         let backend = if *k % HARD_EVERY == HARD_EVERY - 1 {
@@ -209,7 +212,9 @@ pub fn run_service_workload(
         } else {
             Backend::Incremental
         };
-        latencies.push(report.queue_seconds + report.report.stats.wall_seconds);
+        // Latency starts at the first submit attempt: the backoff spent on
+        // `QueueFull` rejections is part of what the client waited.
+        latencies.push(*backoff_seconds + report.queue_seconds + report.report.stats.wall_seconds);
         records.push(RunRecord {
             instance: instance.name.clone(),
             logic: instance.logic,

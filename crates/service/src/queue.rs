@@ -34,13 +34,126 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use pact::CancellationToken;
 
 use crate::request::{CountRequest, Priority, ServiceResult};
 use crate::RequestEvent;
+
+/// A crate-private wake-up hook a submitter attaches to a request: the
+/// service pings it after sending the request's result and, when `events`
+/// is set, after each lifecycle event.  The wire transport uses it to block
+/// on one channel instead of polling its pending handles on a timer.
+///
+/// Every ping follows the send it announces, so a waiter that polls, finds
+/// nothing and then blocks cannot miss a delivery: the ping for anything
+/// sent after its poll is still queued when it blocks.  A ping with no news
+/// (the dropped reply of a rejected submission) costs the waiter one empty
+/// poll.
+#[derive(Clone)]
+pub(crate) struct Notifier {
+    ping: Arc<dyn Fn() + Send + Sync>,
+    events: bool,
+}
+
+impl Notifier {
+    /// A hook calling `ping` after the result send and — if `events` —
+    /// after every event send.
+    pub(crate) fn new(events: bool, ping: impl Fn() + Send + Sync + 'static) -> Self {
+        Notifier {
+            ping: Arc::new(ping),
+            events,
+        }
+    }
+}
+
+impl std::fmt::Debug for Notifier {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Notifier")
+            .field("events", &self.events)
+            .finish_non_exhaustive()
+    }
+}
+
+/// The sending side of a request's event stream, plus the notifier when
+/// the submitter asked to be woken per event.  Cloned into the shard's
+/// progress forwarder.
+#[derive(Debug, Clone)]
+pub(crate) struct EventSink {
+    tx: Sender<RequestEvent>,
+    notify: Option<Notifier>,
+}
+
+impl EventSink {
+    /// Sends one event, then pings.  A dropped handle is ignored — it must
+    /// never disturb the shard.
+    pub(crate) fn send(&self, event: RequestEvent) {
+        let _ = self.tx.send(event);
+        if let Some(n) = &self.notify {
+            (n.ping)();
+        }
+    }
+}
+
+/// The service-side ends of a request's channels.
+///
+/// Dropping the reply pings the notifier: after [`Reply::resolve`] that
+/// announces the result, and if a shard panic unwinds past an unresolved
+/// reply it announces the loss, which the handle reports as
+/// [`ServiceError::Lost`](crate::ServiceError::Lost).
+#[derive(Debug)]
+pub(crate) struct Reply {
+    events: EventSink,
+    /// `None` once taken by [`Reply::resolve`] or the drop, which must
+    /// disconnect it before pinging so the waiter sees the loss.
+    result: Option<Sender<ServiceResult>>,
+    notify: Option<Notifier>,
+}
+
+impl Reply {
+    pub(crate) fn new(
+        events: Sender<RequestEvent>,
+        result: Sender<ServiceResult>,
+        notify: Option<Notifier>,
+    ) -> Self {
+        Reply {
+            events: EventSink {
+                tx: events,
+                notify: notify.clone().filter(|n| n.events),
+            },
+            result: Some(result),
+            notify,
+        }
+    }
+
+    /// Sends one lifecycle event.
+    pub(crate) fn event(&self, event: RequestEvent) {
+        self.events.send(event);
+    }
+
+    /// A clone of the event side, for the progress forwarder.
+    pub(crate) fn event_sink(&self) -> EventSink {
+        self.events.clone()
+    }
+
+    /// Sends the request's result; the drop that follows pings.
+    pub(crate) fn resolve(mut self, result: ServiceResult) {
+        if let Some(tx) = self.result.take() {
+            let _ = tx.send(result);
+        }
+    }
+}
+
+impl Drop for Reply {
+    fn drop(&mut self) {
+        drop(self.result.take());
+        if let Some(n) = &self.notify {
+            (n.ping)();
+        }
+    }
+}
 
 /// An admitted request in flight through the service: the request itself
 /// plus the channels and token that tie it back to its [`RequestHandle`]
@@ -53,8 +166,7 @@ pub(crate) struct Ticket {
     pub(crate) id: u64,
     pub(crate) request: CountRequest,
     pub(crate) token: CancellationToken,
-    pub(crate) events: Sender<RequestEvent>,
-    pub(crate) result: Sender<ServiceResult>,
+    pub(crate) reply: Reply,
     pub(crate) submitted: Instant,
     /// Deterministic size estimate stamped at submission
     /// ([`CountRequest::cost_estimate`]); drives placement and the
@@ -311,8 +423,7 @@ mod tests {
             id,
             request,
             token: CancellationToken::new(),
-            events,
-            result,
+            reply: Reply::new(events, result, None),
             submitted: Instant::now(),
             cost,
         }

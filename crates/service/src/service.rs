@@ -22,7 +22,7 @@ use std::time::Instant;
 
 use pact::CancellationToken;
 
-use crate::queue::{AdmissionQueue, AdmitError, Ticket};
+use crate::queue::{AdmissionQueue, AdmitError, Notifier, Reply, Ticket};
 use crate::request::{CountRequest, Disposition, RequestHandle, ServiceError, ServiceReport};
 use crate::shard::{self, ShardState};
 use crate::RequestEvent;
@@ -233,6 +233,17 @@ impl CountingService {
     /// bounded queue is at capacity, [`ServiceError::ShuttingDown`] after
     /// shutdown began.  In every error case nothing was enqueued.
     pub fn submit(&self, request: CountRequest) -> Result<RequestHandle, ServiceError> {
+        self.submit_notified(request, None)
+    }
+
+    /// [`CountingService::submit`] with a wake-up hook the shard pings after
+    /// delivering the request's result (and, if the notifier asks, each of
+    /// its events), so a transport can block instead of polling.
+    pub(crate) fn submit_notified(
+        &self,
+        request: CountRequest,
+        notify: Option<Notifier>,
+    ) -> Result<RequestHandle, ServiceError> {
         request.validate().map_err(ServiceError::Invalid)?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let priority = request.priority;
@@ -248,8 +259,7 @@ impl CountingService {
             id,
             request,
             token: token.clone(),
-            events: event_tx,
-            result: result_tx,
+            reply: Reply::new(event_tx, result_tx, notify),
             submitted: Instant::now(),
             cost,
         };
@@ -314,8 +324,8 @@ impl CountingService {
 /// it out of the queue).
 fn cancel_pending(ticket: Ticket) {
     ticket.token.cancel();
-    let _ = ticket.events.send(RequestEvent::Cancelled);
-    let _ = ticket.result.send(Ok(ServiceReport {
+    ticket.reply.event(RequestEvent::Cancelled);
+    ticket.reply.resolve(Ok(ServiceReport {
         report: shard::cancelled_report(),
         shard: None,
         queue_seconds: ticket.submitted.elapsed().as_secs_f64(),

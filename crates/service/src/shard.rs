@@ -92,8 +92,7 @@ fn serve(shard: usize, queue: &AdmissionQueue, ticket: Ticket, state: &ShardStat
         id: _,
         request,
         token,
-        events,
-        result,
+        reply,
         submitted,
         cost,
     } = ticket;
@@ -103,7 +102,7 @@ fn serve(shard: usize, queue: &AdmissionQueue, ticket: Ticket, state: &ShardStat
     // charged the deadline the extra microseconds between the reads.
     let waited = submitted.elapsed();
     let queue_seconds = waited.as_secs_f64();
-    let _ = events.send(RequestEvent::Admitted { shard });
+    reply.event(RequestEvent::Admitted { shard });
 
     // A ticket can leave the queue just as an aborting shutdown clears it,
     // or its handle may have cancelled while it queued; either way, stand
@@ -113,8 +112,8 @@ fn serve(shard: usize, queue: &AdmissionQueue, ticket: Ticket, state: &ShardStat
     // already account for this request's disposition.
     if queue.aborting() || token.is_cancelled() {
         state.cancelled.fetch_add(1, Ordering::Relaxed);
-        let _ = events.send(RequestEvent::Cancelled);
-        let _ = result.send(Ok(ServiceReport {
+        reply.event(RequestEvent::Cancelled);
+        reply.resolve(Ok(ServiceReport {
             report: cancelled_report(),
             shard: Some(shard),
             queue_seconds,
@@ -133,20 +132,13 @@ fn serve(shard: usize, queue: &AdmissionQueue, ticket: Ticket, state: &ShardStat
         config.deadline = Some(total.saturating_sub(waited));
     }
 
-    // `Sender` is wrapped in a `Mutex` because the `Progress` observer must
-    // be `Sync`; contention is nil (the session is single-threaded).
-    let forward = Mutex::new(events.clone());
+    let forward = reply.event_sink();
     let built = Session::builder(request.tm)
         .assert_all(&request.formula)
         .project_all(&request.projection)
         .config(config)
         .cancellation(token.clone())
-        .on_progress(move |event| {
-            let _ = forward
-                .lock()
-                .expect("event forwarder poisoned")
-                .send(RequestEvent::Progress(event.clone()));
-        })
+        .on_progress(move |event| forward.send(RequestEvent::Progress(event.clone())))
         .build();
 
     let outcome = match built {
@@ -156,8 +148,8 @@ fn serve(shard: usize, queue: &AdmissionQueue, ticket: Ticket, state: &ShardStat
     match outcome {
         Err(e) => {
             state.failed.fetch_add(1, Ordering::Relaxed);
-            let _ = events.send(RequestEvent::Failed);
-            let _ = result.send(Err(ServiceError::Count(e)));
+            reply.event(RequestEvent::Failed);
+            reply.resolve(Err(ServiceError::Count(e)));
         }
         Ok(report) => {
             // Terminal resolution decides the counter *and* the report's
@@ -172,8 +164,8 @@ fn serve(shard: usize, queue: &AdmissionQueue, ticket: Ticket, state: &ShardStat
                 state.served.fetch_add(1, Ordering::Relaxed);
                 (RequestEvent::Finished, Disposition::Completed)
             };
-            let _ = events.send(terminal);
-            let _ = result.send(Ok(ServiceReport {
+            reply.event(terminal);
+            reply.resolve(Ok(ServiceReport {
                 report,
                 shard: Some(shard),
                 queue_seconds,

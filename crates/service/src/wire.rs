@@ -44,14 +44,15 @@
 //! noise.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::TcpListener;
-use std::sync::mpsc::{channel, RecvTimeoutError};
+use std::net::{TcpListener, TcpStream};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::time::Duration;
 
 use pact::{BackendSpec, CountOutcome, ProgressEvent};
 use pact_hash::HashFamily;
 use pact_ir::{IrError, TermId, TermManager};
 
+use crate::queue::Notifier;
 use crate::request::{CountRequest, Priority, ServiceReport};
 use crate::{CountingService, RequestEvent, RequestHandle};
 
@@ -89,6 +90,17 @@ pub struct WireOptions {
     pub stream_events: bool,
 }
 
+/// What wakes a connection: an input line from the transport's reader
+/// thread, the end of its input, or a request that resolved (or streamed an
+/// event).  One channel carries all three, so the transport blocks in one
+/// place with no timer.
+#[derive(Debug)]
+enum Wake {
+    Line(String),
+    Closed(io::Result<()>),
+    Resolved,
+}
+
 /// A request submitted over the wire and not yet resolved.
 #[derive(Debug)]
 struct Pending {
@@ -118,11 +130,17 @@ pub struct WireConnection<'s> {
     line: usize,
     column: usize,
     exited: bool,
+    /// Cloned into every submission's [`Notifier`] (and the transport's
+    /// reader thread); `wakeups` is where [`WireConnection::finish`] and
+    /// [`serve_connection`] block.
+    wake: Sender<Wake>,
+    wakeups: Receiver<Wake>,
 }
 
 impl<'s> WireConnection<'s> {
     /// Opens a fresh session against the service.
     pub fn new(service: &'s CountingService) -> Self {
+        let (wake, wakeups) = channel();
         WireConnection {
             service,
             tm: TermManager::new(),
@@ -135,6 +153,8 @@ impl<'s> WireConnection<'s> {
             line: 1,
             column: 1,
             exited: false,
+            wake,
+            wakeups,
         }
     }
 
@@ -237,14 +257,18 @@ impl<'s> WireConnection<'s> {
         }
     }
 
-    /// Blocks (politely: poll + sleep) until every pending request has
-    /// resolved, draining all remaining responses into `out`.
+    /// Blocks until every pending request has resolved, draining all
+    /// remaining responses into `out`.  The wait is woken by the requests
+    /// themselves, not by a timer.
     pub fn finish(&mut self, out: &mut Vec<String>) {
-        while !self.idle() {
+        loop {
             self.poll(out);
-            if !self.idle() {
-                std::thread::sleep(Duration::from_millis(1));
+            if self.idle() {
+                return;
             }
+            // The connection holds a sender itself, so the channel never
+            // disconnects; every pending request pings when it resolves.
+            let _ = self.wakeups.recv();
         }
     }
 
@@ -460,7 +484,11 @@ impl<'s> WireConnection<'s> {
         } else {
             "count"
         };
-        match self.service.submit(request) {
+        let wake = self.wake.clone();
+        let notify = Notifier::new(self.options.stream_events, move || {
+            let _ = wake.send(Wake::Resolved);
+        });
+        match self.service.submit_notified(request, Some(notify)) {
             Ok(handle) => {
                 let id = self.next_id;
                 self.next_id += 1;
@@ -860,71 +888,86 @@ pub fn event_to_json(id: u64, event: &RequestEvent) -> String {
 /// Serves one logical client over a reader/writer pair: stdin/stdout for
 /// `pact-serve`'s pipe mode, a [`std::net::TcpStream`] pair for `--listen`.
 ///
-/// A dedicated thread reads lines and hands them over a channel, so the
-/// main loop can keep draining finished results while the client is idle —
-/// this is what makes out-of-order multiplexing observable: a client that
-/// submits two counts and then waits sees the cheaper one answer first.
-/// The loop ends when the input reaches EOF or `(exit)` was processed, and
-/// every pending result has been delivered.
+/// A dedicated thread reads lines and hands them over the connection's
+/// wake-up channel, which also carries a ping from every request as it
+/// resolves (and, with `:stream-events`, as it emits an event).  The loop
+/// blocks on that channel with no timeout, so a result is written as soon
+/// as it exists — this is what makes out-of-order multiplexing observable:
+/// a client that submits two counts and then waits sees the cheaper one
+/// answer first.  All response lines ready at a wake-up go out in a single
+/// `write_all`, each ending in `\n`.  The loop ends when the input reaches
+/// EOF or `(exit)` was processed, and every pending result has been
+/// delivered.
 ///
 /// # Errors
 ///
-/// Returns the first I/O error from either side of the connection.
+/// Returns the first I/O error from either side of the connection, or the
+/// error from spawning the reader thread.
 pub fn serve_connection<R, W>(service: &CountingService, reader: R, mut writer: W) -> io::Result<()>
 where
     R: Read + Send + 'static,
     W: Write,
 {
-    let (tx, rx) = channel::<io::Result<String>>();
+    let mut conn = WireConnection::new(service);
+    let input = conn.wake.clone();
     std::thread::Builder::new()
         .name("pact-wire-reader".into())
         .spawn(move || {
             let mut reader = BufReader::new(reader);
-            loop {
+            let end = loop {
                 let mut line = String::new();
                 match reader.read_line(&mut line) {
-                    Ok(0) => break,
+                    Ok(0) => break Ok(()),
                     Ok(_) => {
-                        if tx.send(Ok(line)).is_err() {
-                            break;
+                        if input.send(Wake::Line(line)).is_err() {
+                            return;
                         }
                     }
-                    Err(e) => {
-                        let _ = tx.send(Err(e));
-                        break;
-                    }
+                    Err(e) => break Err(e),
                 }
-            }
-        })
-        .expect("failed to spawn wire reader thread");
+            };
+            let _ = input.send(Wake::Closed(end));
+        })?;
 
-    let mut conn = WireConnection::new(service);
     let mut out = Vec::new();
+    let mut batch = String::new();
     let mut eof = false;
     loop {
-        match rx.recv_timeout(Duration::from_millis(2)) {
-            Ok(Ok(line)) => conn.feed(&line, &mut out),
-            Ok(Err(e)) => return Err(e),
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => eof = true,
-        }
         conn.poll(&mut out);
         if !out.is_empty() {
             for line in out.drain(..) {
-                writeln!(writer, "{line}")?;
+                batch.push_str(&line);
+                batch.push('\n');
             }
+            writer.write_all(batch.as_bytes())?;
             writer.flush()?;
+            batch.clear();
         }
         if (eof || conn.exited()) && conn.idle() {
             return Ok(());
+        }
+        // Block for the next wake-up, then take whatever else is already
+        // queued, so one flush answers everything that arrived together.
+        let mut next = conn.wakeups.recv().ok();
+        while let Some(wake) = next {
+            match wake {
+                Wake::Line(line) => conn.feed(&line, &mut out),
+                Wake::Closed(Ok(())) => eof = true,
+                Wake::Closed(Err(e)) => return Err(e),
+                Wake::Resolved => {}
+            }
+            next = conn.wakeups.try_recv().ok();
         }
     }
 }
 
 /// Accepts TCP connections and serves each as one logical client,
-/// sequentially (`pact-serve --listen`).  A connection-level I/O error is
-/// reported to stderr and the listener moves on; only an `accept` failure
-/// ends the loop.
+/// sequentially (`pact-serve --listen`).  Every accepted stream gets
+/// `TCP_NODELAY`: a response batch is one write, so Nagle's algorithm has
+/// nothing to coalesce and would only hold a result back until the client
+/// acknowledges the previous one.  A connection-level I/O error is reported
+/// to stderr and the listener moves on; only an `accept` failure ends the
+/// loop.
 ///
 /// # Errors
 ///
@@ -932,14 +975,18 @@ where
 pub fn serve_listener(service: &CountingService, listener: &TcpListener) -> io::Result<()> {
     loop {
         let (stream, peer) = listener.accept()?;
-        let reader = stream.try_clone()?;
-        if let Err(e) = serve_connection(service, reader, &stream) {
+        if let Err(e) = serve_stream(service, &stream) {
             eprintln!("pact-serve: connection {peer}: {e}");
         }
         // Both halves dropped here close the socket and unblock the
         // connection's reader thread on the client side.
         let _ = stream.shutdown(std::net::Shutdown::Both);
     }
+}
+
+fn serve_stream(service: &CountingService, stream: &TcpStream) -> io::Result<()> {
+    stream.set_nodelay(true)?;
+    serve_connection(service, stream.try_clone()?, stream)
 }
 
 #[cfg(test)]

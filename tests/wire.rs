@@ -15,10 +15,15 @@
 //!   (`--listen` mode);
 //! * requests are multiplexed by id on one connection — a cheap count
 //!   submitted after an expensive one answers first — and `(cancel N)`
-//!   resolves the expensive one with a `"cancelled"` disposition.
+//!   resolves the expensive one with a `"cancelled"` disposition;
+//! * one flush is one write of whole lines, and delivery is woken by
+//!   results, not by a timer, and loses no wake-up:
+//!   an idle TCP client still reads its answer, and a waiting script run
+//!   gives the same lines as polling.
 
-use std::io::{BufRead, BufReader, Cursor, Write};
+use std::io::{self, BufRead, BufReader, Cursor, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::Duration;
 
 use proptest::prelude::*;
@@ -340,4 +345,260 @@ fn accepted_acks_carry_the_placement_cost_estimate() {
         .unwrap();
     assert_eq!(numeric(result, "cost_estimate") as u64, ack_cost);
     svc.shutdown();
+}
+
+/// Runs `body` on its own thread and fails the test if it has not returned
+/// within `limit`, so a lost wake-up fails instead of hanging the suite.
+fn watchdog(limit: Duration, body: impl FnOnce() + Send + 'static) {
+    let (done, finished) = channel();
+    std::thread::spawn(move || {
+        body();
+        let _ = done.send(());
+    });
+    match finished.recv_timeout(limit) {
+        Ok(()) => {}
+        Err(RecvTimeoutError::Timeout) => {
+            panic!("no progress within {limit:?}: a wake-up was lost")
+        }
+        Err(RecvTimeoutError::Disconnected) => panic!("test body panicked"),
+    }
+}
+
+/// Blanks the timing fields, the only part of a line that differs between
+/// two runs of the same script.
+fn untimed(line: &str) -> String {
+    let mut out = line.to_string();
+    for key in ["\"queue_seconds\": ", "\"wall_seconds\": "] {
+        if let Some(start) = out.find(key).map(|i| i + key.len()) {
+            let len = out[start..].find([',', '}']).unwrap_or(0);
+            out.replace_range(start..start + len, "_");
+        }
+    }
+    out
+}
+
+#[test]
+fn an_idle_tcp_client_still_reads_its_answer() {
+    watchdog(Duration::from_secs(60), || {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        std::thread::spawn(move || {
+            let svc = service(1);
+            let _ = serve_listener(&svc, &listener);
+        });
+
+        // One count, then silence: no `(exit)`, no EOF.  The only thing
+        // that can wake the server is the count resolving.
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .write_all(count_script(0x50, 9, 1).as_bytes())
+            .unwrap();
+        let mut lines = BufReader::new(stream.try_clone().unwrap()).lines();
+        let ack = lines.next().unwrap().unwrap();
+        assert!(ack.contains("\"kind\": \"accepted\""), "{ack}");
+        let result = lines.next().unwrap().unwrap();
+        assert_matches_reference(&result, &direct_reference(0x50, 9, 1));
+        drop(stream);
+    });
+}
+
+#[test]
+fn waiting_for_results_gives_the_lines_polling_gives() {
+    watchdog(Duration::from_secs(120), || {
+        // Several counts; request 0 streams its events; request 1 is
+        // cancelled while it waits behind request 0 on the single shard.
+        let script = "(set-logic QF_BV)\n\
+             (declare-const x (_ BitVec 12))\n\
+             (assert (bvule #x080 x))\n\
+             (set-option :seed 3)\n\
+             (set-option :iterations 2)\n\
+             (set-option :stream-events true)\n\
+             (count x)\n\
+             (set-option :stream-events false)\n\
+             (count x)\n\
+             (cancel 1)\n\
+             (set-option :seed 4)\n\
+             (count x)\n\
+             (set-option :seed 5)\n\
+             (count x)\n";
+        let svc = service(1);
+
+        let mut waiting = WireConnection::new(&svc);
+        let waited: Vec<String> = waiting
+            .run_script(script)
+            .iter()
+            .map(|l| untimed(l))
+            .collect();
+
+        // The same script drained by polling alone.
+        let mut polling = WireConnection::new(&svc);
+        let mut polled = Vec::new();
+        polling.feed(script, &mut polled);
+        while !polling.idle() {
+            polling.poll(&mut polled);
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let polled: Vec<String> = polled.iter().map(|l| untimed(l)).collect();
+        assert_eq!(waited, polled);
+
+        // And the lines are the expected ones: four acks, request 0's
+        // event stream ending in `finished` before its result, the
+        // cancelled request, and two completed counts.
+        let kinds: Vec<&str> = waited
+            .iter()
+            .map(|l| field(l, "kind").expect("every line has a kind"))
+            .collect();
+        assert_eq!(&kinds[..4], ["\"accepted\""; 4]);
+        let events: Vec<&String> = waited
+            .iter()
+            .filter(|l| l.contains("\"kind\": \"event\""))
+            .collect();
+        assert!(events.iter().all(|l| l.contains("\"id\": 0")), "{events:?}");
+        assert!(events.first().unwrap().contains("\"event\": \"queued\""));
+        assert!(events.last().unwrap().contains("\"event\": \"finished\""));
+        let results: Vec<&String> = waited
+            .iter()
+            .filter(|l| l.contains("\"kind\": \"count\""))
+            .collect();
+        assert_eq!(results.len(), 4);
+        let dispositions: Vec<&str> = results
+            .iter()
+            .map(|l| field(l, "disposition").unwrap())
+            .collect();
+        assert_eq!(
+            dispositions,
+            [
+                "\"completed\"",
+                "\"cancelled\"",
+                "\"completed\"",
+                "\"completed\""
+            ]
+        );
+        svc.shutdown();
+    });
+}
+
+/// Input delivered in chunks the test releases one at a time.  Once
+/// the sender is gone it signals `drained` and reports EOF, so the
+/// test knows every line before that has reached the connection.
+struct ChunkReader {
+    chunks: Receiver<Vec<u8>>,
+    drained: Sender<()>,
+}
+
+impl Read for ChunkReader {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        match self.chunks.recv() {
+            Ok(chunk) => {
+                assert!(chunk.len() <= buf.len(), "test chunks fit one read");
+                buf[..chunk.len()].copy_from_slice(&chunk);
+                Ok(chunk.len())
+            }
+            Err(_) => {
+                let _ = self.drained.send(());
+                Ok(0)
+            }
+        }
+    }
+}
+
+/// Records every `write` and `flush` call; the first `write` announces
+/// itself on `entered` and then waits for `gate`.
+struct RecordingWriter {
+    calls: Vec<Result<String, ()>>,
+    entered: Sender<()>,
+    gate: Receiver<()>,
+}
+
+impl Write for RecordingWriter {
+    fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+        if self.calls.is_empty() {
+            let _ = self.entered.send(());
+            let _ = self.gate.recv();
+        }
+        self.calls
+            .push(Ok(String::from_utf8_lossy(bytes).into_owned()));
+        Ok(bytes.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.calls.push(Err(()));
+        Ok(())
+    }
+}
+
+fn probe_request() -> CountRequest {
+    let mut tm = TermManager::new();
+    let x = tm.mk_var("x", Sort::BitVec(4));
+    let c = tm.mk_bv_const(3, 4);
+    let f = tm.mk_bv_ult(x, c).unwrap();
+    CountRequest::new(tm).assert(f).project(x)
+}
+
+const DECLS: &str = "(set-logic QF_BV)\n(declare-const x (_ BitVec 8))\n\
+                     (assert (bvule #x10 x))\n(set-option :iterations 1)\n";
+
+#[test]
+fn one_flush_is_one_write_of_whole_lines() {
+    watchdog(Duration::from_secs(60), || {
+        let svc = service(1);
+        let (chunk_tx, chunks) = channel();
+        let (drained, reader_done) = channel();
+        let (entered, first_write) = channel();
+        let (open_gate, gate) = channel();
+        let reader = ChunkReader { chunks, drained };
+        let mut writer = RecordingWriter {
+            calls: Vec::new(),
+            entered,
+            gate,
+        };
+        std::thread::scope(|scope| {
+            let server = scope.spawn(|| serve_connection(&svc, reader, &mut writer));
+            // Request 0's ack is the first write; hold it there until
+            // request 0 has resolved and request 1's line has been read,
+            // so the next flush carries request 1's ack *and* request
+            // 0's result.
+            chunk_tx
+                .send(format!("{DECLS}(count x)\n").into_bytes())
+                .unwrap();
+            first_write.recv().unwrap();
+            // The single shard serves in order: once a probe submitted
+            // behind request 0 resolves, request 0 has been delivered.
+            let mut probe = svc.submit(probe_request()).unwrap();
+            probe.wait().unwrap();
+            chunk_tx.send(b"(count x)\n(exit)\n".to_vec()).unwrap();
+            drop(chunk_tx);
+            reader_done.recv().unwrap();
+            open_gate.send(()).unwrap();
+            server.join().unwrap().unwrap();
+        });
+
+        // Every flush follows exactly one write, and every write ends
+        // on a line boundary.
+        let mut writes = Vec::new();
+        for pair in writer.calls.chunks(2) {
+            match pair {
+                [Ok(bytes), Err(())] => writes.push(bytes.clone()),
+                other => panic!("expected write then flush, got {other:?}"),
+            }
+        }
+        assert!(writes.iter().all(|w| w.ends_with('\n')), "{writes:?}");
+        assert!(
+            writes
+                .iter()
+                .any(|w| w.contains("\"kind\": \"accepted\"") && w.contains("\"kind\": \"count\"")),
+            "an ack and a result share one write: {writes:?}"
+        );
+
+        // The lines are the ones a direct run of the same script gives.
+        let lines: Vec<String> = writes.concat().lines().map(untimed).collect();
+        let mut direct = WireConnection::new(&svc);
+        let expected: Vec<String> = direct
+            .run_script(&format!("{DECLS}(count x)\n(count x)\n(exit)\n"))
+            .iter()
+            .map(|l| untimed(l))
+            .collect();
+        assert_eq!(lines, expected);
+        svc.shutdown();
+    });
 }
