@@ -533,6 +533,42 @@ mod tests {
     }
 
     #[test]
+    fn repeated_counts_leave_the_term_store_unchanged() {
+        // Preprocessing flattens f(x) and a[x] into result variables on every
+        // count (each count builds a fresh oracle); the variables must be
+        // reused, not minted anew, or the session's store grows per count.
+        let mut tm = TermManager::new();
+        let x = tm.mk_var("x", Sort::BitVec(8));
+        let f = tm.declare_fun("f", vec![Sort::BitVec(8)], Sort::BitVec(8));
+        let a = tm.mk_var(
+            "a",
+            Sort::Array {
+                index: Box::new(Sort::BitVec(8)),
+                element: Box::new(Sort::BitVec(8)),
+            },
+        );
+        let fx = tm.mk_apply(f, vec![x]).unwrap();
+        let ax = tm.mk_select(a, x).unwrap();
+        let c = tm.mk_bv_const(16, 8);
+        let g = tm.mk_bv_ule(c, x).unwrap();
+        let h = tm.mk_bv_ule(fx, ax).unwrap();
+        let mut session = Session::builder(tm)
+            .assert(g)
+            .assert(h)
+            .project(x)
+            .seed(42)
+            .iterations(3)
+            .build()
+            .unwrap();
+        let first = session.count().unwrap();
+        assert!(first.outcome.value().is_some());
+        for _ in 0..4 {
+            let again = session.count().unwrap();
+            assert_eq!(again.stats.terms_interned, first.stats.terms_interned);
+        }
+    }
+
+    #[test]
     fn one_problem_counts_under_many_configs() {
         let mut session = saturating_session(8, 3);
         let xor = session.count().unwrap();

@@ -41,7 +41,7 @@ mod value;
 
 pub mod logic;
 
-pub use manager::{FunDecl, TermManager, TermSnapshot, Value};
+pub use manager::{AppHead, FunDecl, TermManager, TermSnapshot, Value};
 pub use rational::Rational;
 pub use sort::Sort;
 pub use term::{Op, Term, TermId};

@@ -88,6 +88,19 @@ pub struct TermSnapshot {
     funs: Vec<FunDecl>,
     funs_by_name: FxHashMap<String, u32>,
     fresh_counter: u64,
+    /// Result variables of flattened applications (see
+    /// [`TermManager::mk_app_var`]), keyed by head and argument ids.
+    app_vars: FxHashMap<(AppHead, Vec<TermId>), TermId>,
+}
+
+/// The head of an application that preprocessing flattens into a result
+/// variable (see [`TermManager::mk_app_var`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum AppHead {
+    /// An application of the uninterpreted function with this index.
+    Fun(u32),
+    /// A `select` read of this array variable.
+    Array(TermId),
 }
 
 impl TermSnapshot {
@@ -148,6 +161,7 @@ impl TermManager {
         snap.vars_by_name.extend(tail.vars_by_name);
         snap.funs.extend(tail.funs);
         snap.funs_by_name.extend(tail.funs_by_name);
+        snap.app_vars.extend(tail.app_vars);
         snap.fresh_counter = tail.fresh_counter;
         self.tail.fresh_counter = snap.fresh_counter;
         self.base = Arc::new(snap);
@@ -285,6 +299,39 @@ impl TermManager {
                 return self.mk_var(&name, sort);
             }
         }
+    }
+
+    /// The variable standing for the result of the application
+    /// `head(args)`, created on first use.
+    ///
+    /// The same head and argument ids always return the same variable, so
+    /// preprocessing the same formula again interns nothing new.  The
+    /// variable is left out of the name table: [`TermManager::find_var`]
+    /// and [`TermManager::mk_var`] never return it, so it can never alias a
+    /// user-declared symbol, whatever its display name.
+    pub fn mk_app_var(&mut self, head: AppHead, args: &[TermId], sort: Sort) -> TermId {
+        let key = (head, args.to_vec());
+        if let Some(&v) = self
+            .base
+            .app_vars
+            .get(&key)
+            .or_else(|| self.tail.app_vars.get(&key))
+        {
+            return v;
+        }
+        let hint = match head {
+            AppHead::Fun(f) => self.fun_decl(f).name.clone(),
+            AppHead::Array(a) => self.var_name(a).unwrap_or("array").to_string(),
+        };
+        let sym = (self.base.symbols.len() + self.tail.symbols.len()) as u32;
+        self.tail.symbols.push(format!("{hint}!ack!{sym}"));
+        let v = self.intern(Term {
+            op: Op::Var(sym),
+            children: vec![],
+            sort,
+        });
+        self.tail.app_vars.insert(key, v);
+        v
     }
 
     /// Declares an uninterpreted function and returns its index.
@@ -1689,6 +1736,29 @@ mod tests {
         let mut shared = TermManager::from_snapshot(snap);
         let g = shared.mk_fresh_var("tmp", Sort::Bool);
         assert_ne!(shared.var_name(g), shared.var_name(f0));
+    }
+
+    #[test]
+    fn app_vars_are_memoised_and_never_alias_declared_names() {
+        let mut tm = TermManager::new();
+        let x = tm.mk_var("x", Sort::BitVec(4));
+        let y = tm.mk_var("y", Sort::BitVec(4));
+        let f = tm.declare_fun("f", vec![Sort::BitVec(4)], Sort::Bool);
+        let fx = tm.mk_app_var(AppHead::Fun(f), &[x], Sort::Bool);
+        let len = tm.len();
+        assert_eq!(tm.mk_app_var(AppHead::Fun(f), &[x], Sort::Bool), fx);
+        assert_eq!(tm.len(), len, "a repeated application interns nothing");
+        assert_ne!(tm.mk_app_var(AppHead::Fun(f), &[y], Sort::Bool), fx);
+        // The display name is not in the name table: declaring it makes a
+        // distinct user variable instead of returning the result variable.
+        let name = tm.var_name(fx).unwrap().to_string();
+        assert_eq!(tm.find_var(&name), None);
+        let user = tm.mk_var(&name, Sort::Bool);
+        assert_ne!(user, fx);
+        // The memo survives a snapshot.
+        let snap = tm.snapshot();
+        let mut shared = TermManager::from_snapshot(snap);
+        assert_eq!(shared.mk_app_var(AppHead::Fun(f), &[x], Sort::Bool), fx);
     }
 
     #[test]

@@ -8,6 +8,9 @@
 //! natively instead of expanding them to CNF.  Native XOR handling is the
 //! mechanism behind the `H_xor` hash family's performance in the paper
 //! (§III-E), mirroring what CryptoMiniSat provides to the original tool.
+//! A satisfying assignment stays on the trail, so an enumeration loop that
+//! blocks each model and solves again under the same assumptions resumes
+//! from it instead of re-deciding from the root (see [`Solver::solve`]).
 //!
 //! # Example
 //!

@@ -162,6 +162,10 @@ pub struct Solver {
     /// clauses; transient XOR reason clauses are excluded), maintained
     /// incrementally so the lookahead never re-scans the clause store.
     occurrences: Vec<u64>,
+    /// The assumptions the kept trail was built under.  A `Sat` answer
+    /// leaves its full assignment on the trail; the next `solve` with the
+    /// same assumptions resumes from it instead of re-deciding from the root.
+    trail_assumptions: Vec<Lit>,
 }
 
 impl Default for Solver {
@@ -189,6 +193,7 @@ impl Default for Solver {
             noise_state: 0,
             interrupts: Vec::new(),
             occurrences: Vec::new(),
+            trail_assumptions: Vec::new(),
         }
     }
 }
@@ -279,44 +284,108 @@ impl Solver {
 
     /// Adds a clause; returns `false` if the formula became trivially
     /// unsatisfiable at level zero.
+    ///
+    /// The clause may be added while the trail of the last satisfying
+    /// assignment is kept (see [`Solver::solve`]).  It is simplified by
+    /// level-zero values only, and the trail is unwound only as far as the
+    /// watch invariant needs: a clause that is unit at the root goes back to
+    /// level zero; one falsified by the trail backtracks to its
+    /// second-highest level and asserts its highest literal there, or
+    /// unassigns both when two literals share the top level; one that is
+    /// unit under the trail has its implied literal enqueued at the level
+    /// of its highest false literal.
     pub fn add_clause(&mut self, lits: &[Lit]) -> bool {
         if !self.ok {
             return false;
         }
-        debug_assert!(
-            self.decision_level() == 0,
-            "clauses must be added at level 0"
-        );
-        let mut clause: Vec<Lit> = Vec::with_capacity(lits.len());
-        let mut sorted = lits.to_vec();
-        sorted.sort();
-        sorted.dedup();
-        for &l in &sorted {
-            if sorted.contains(&!l) && l.is_positive() {
-                return true; // tautology
-            }
-            match self.value(l) {
+        let mut clause = lits.to_vec();
+        clause.sort_unstable();
+        clause.dedup();
+        // A literal and its negation differ only in the lowest code bit, so
+        // after the sort they sit next to each other.
+        if clause.windows(2).any(|w| w[0] == !w[1]) {
+            return true; // tautology
+        }
+        let mut kept = 0;
+        for i in 0..clause.len() {
+            let l = clause[i];
+            match self.level_zero_value(l) {
                 LBool::True => return true, // already satisfied at level 0
                 LBool::False => {}
-                LBool::Undef => clause.push(l),
+                LBool::Undef => {
+                    clause[kept] = l;
+                    kept += 1;
+                }
             }
         }
+        clause.truncate(kept);
         match clause.len() {
             0 => {
                 self.ok = false;
                 false
             }
             1 => {
-                if !self.enqueue(clause[0], None) {
-                    self.ok = false;
-                    return false;
-                }
+                self.cancel_until(0);
+                self.enqueue(clause[0], None);
                 self.ok = self.propagate().is_none();
                 self.ok
             }
             _ => {
-                self.attach_clause(clause);
+                self.attach_above_root(clause);
                 true
+            }
+        }
+    }
+
+    /// Value of `lit` if its variable is fixed at decision level zero.
+    fn level_zero_value(&self, lit: Lit) -> LBool {
+        let v = lit.var().index();
+        if self.level[v] == 0 {
+            self.assigns[v].of_lit(lit)
+        } else {
+            LBool::Undef
+        }
+    }
+
+    /// Attaches a clause of at least two literals, none fixed at level zero,
+    /// against whatever trail is currently kept.
+    ///
+    /// The two watches must not be left where a later backtrack could make
+    /// the clause unit without propagation noticing: a false watch is only
+    /// allowed next to a true watch assigned no later than it.  Literals are
+    /// ordered non-false first, then false by descending level, and the
+    /// trail is cut back when the first two do not already satisfy that.
+    fn attach_above_root(&mut self, mut clause: Vec<Lit>) {
+        if self.decision_level() > 0 {
+            let rank = |s: &Self, l: Lit| match s.value(l) {
+                LBool::False => s.level[l.var().index()],
+                _ => u32::MAX,
+            };
+            clause.sort_by_key(|&l| std::cmp::Reverse(rank(self, l)));
+        }
+        if self.decision_level() == 0 || self.value(clause[1]) != LBool::False {
+            self.attach_clause(clause);
+            return;
+        }
+        let first = self.level[clause[0].var().index()];
+        let second = self.level[clause[1].var().index()];
+        match self.value(clause[0]) {
+            // Both watches false at the same level: unassign them both.
+            LBool::False if first == second => {
+                self.cancel_until(first - 1);
+                self.attach_clause(clause);
+            }
+            // A true first literal assigned no later than the highest false
+            // one keeps the clause satisfied on every backtrack.
+            LBool::True if first <= second => {
+                self.attach_clause(clause);
+            }
+            // Otherwise the clause is unit at `second`: assert it there.
+            _ => {
+                self.cancel_until(second);
+                let lit = clause[0];
+                let cref = self.attach_clause(clause);
+                self.enqueue(lit, Some(cref));
             }
         }
     }
@@ -335,10 +404,8 @@ impl Solver {
         if !self.ok {
             return (false, None);
         }
-        debug_assert!(
-            self.decision_level() == 0,
-            "XOR rows must be added at level 0"
-        );
+        // Rows are simplified against level-zero values only.
+        self.cancel_until(0);
         match self.xor.add_row(vars, rhs, &self.assigns) {
             AddXor::Stored(row) => {
                 self.stats.xor_rows = self.xor.len() as u64;
@@ -361,13 +428,10 @@ impl Solver {
     }
 
     /// Retires a stored XOR row (see [`XorEngine::deactivate`]): it stops
-    /// propagating and conflicting.  Must be called at decision level zero,
-    /// i.e. between `solve` calls.
+    /// propagating and conflicting.  The kept trail is unwound to level zero
+    /// first, since it may hold literals the row implied.
     pub fn deactivate_xor(&mut self, row: usize) {
-        debug_assert!(
-            self.decision_level() == 0,
-            "XOR rows must be retired at level 0"
-        );
+        self.cancel_until(0);
         self.xor.deactivate(row);
     }
 
@@ -567,9 +631,8 @@ impl Solver {
         let mut trail_idx = self.trail.len();
 
         loop {
-            let lits: Vec<Lit> = self.clauses[cref].lits.clone();
-            let skip_first = p.is_some();
-            for &q in lits.iter().skip(if skip_first { 1 } else { 0 }) {
+            for k in usize::from(p.is_some())..self.clauses[cref].lits.len() {
+                let q = self.clauses[cref].lits[k];
                 let v = q.var();
                 if !self.seen[v.index()] && self.level[v.index()] > 0 {
                     self.seen[v.index()] = true;
@@ -637,7 +700,8 @@ impl Solver {
     }
 
     /// Ranks the variables a cube-and-conquer front-end should split on:
-    /// every variable not fixed at decision level zero, ordered by VSIDS
+    /// every variable not fixed at decision level zero (the kept trail of
+    /// the last model does not count as fixed), ordered by VSIDS
     /// activity (what the search has been fighting over), then by clause
     /// occurrence count (structural weight for variables the search has not
     /// touched yet — a free projection bit occurs in no clause but is still
@@ -662,7 +726,9 @@ impl Solver {
         let mut candidates: Vec<Var> = vars
             .iter()
             .copied()
-            .filter(|v| v.index() < self.num_vars() && !self.assigns[v.index()].is_assigned())
+            .filter(|v| {
+                v.index() < self.num_vars() && self.level_zero_value(v.positive()) == LBool::Undef
+            })
             .collect();
         candidates.sort_by(|a, b| {
             self.activity[b.index()]
@@ -707,6 +773,13 @@ impl Solver {
     /// assumptions (this is what lets activation-literal encodings retire a
     /// frame by asserting the unit negation afterwards).
     ///
+    /// A `Sat` answer keeps its assignment on the trail.  The next call
+    /// resumes from that trail when its assumption list equals the one the
+    /// trail was built under, so an enumeration loop (`solve`, block the
+    /// model with [`Solver::add_clause`], `solve` again) pays only for what
+    /// the new clause changed; any other assumption list starts from the
+    /// root.
+    ///
     /// # Panics
     ///
     /// Panics if an assumption literal refers to a variable that was never
@@ -726,10 +799,10 @@ impl Solver {
         if self.interrupted() {
             return SatResult::Unknown;
         }
-        self.cancel_until(0);
-        if self.propagate().is_some() {
-            self.ok = false;
-            return SatResult::Unsat;
+        if assumptions != self.trail_assumptions.as_slice() {
+            self.cancel_until(0);
+            self.trail_assumptions.clear();
+            self.trail_assumptions.extend_from_slice(assumptions);
         }
         let budget_start = self.stats.conflicts;
         let mut restart_count: u64 = 0;
@@ -791,7 +864,6 @@ impl Solver {
                 match self.pick_branch_var() {
                     None => {
                         self.save_model();
-                        self.cancel_until(0);
                         return SatResult::Sat;
                     }
                     Some(v) => {
@@ -1194,7 +1266,8 @@ mod tests {
         // same model, before and after).
         assert_eq!(s.solve(&[]), SatResult::Sat);
         let model_before: Vec<bool> = s.model().to_vec();
-        let _ = s.lookahead_candidates(8);
+        // The kept trail of the model does not count as fixed.
+        assert_eq!(s.lookahead_candidates(8).len(), 3);
         assert_eq!(s.solve(&[]), SatResult::Sat);
         assert_eq!(s.model(), &model_before[..]);
     }
@@ -1221,6 +1294,126 @@ mod tests {
         let a = build();
         let b = build();
         assert_eq!(a.lookahead_candidates(6), b.lookahead_candidates(6));
+    }
+
+    /// Opens a decision level with `lit` and propagates it.
+    fn decide(s: &mut Solver, lit: Lit) {
+        s.trail_lim.push(s.trail.len());
+        assert!(s.enqueue(lit, None));
+        assert!(s.propagate().is_none());
+    }
+
+    fn level_of(s: &Solver, v: Var) -> u32 {
+        s.level[v.index()]
+    }
+
+    #[test]
+    fn falsified_clause_backtracks_to_its_second_highest_level_and_asserts() {
+        let mut s = Solver::new();
+        let v = vars(&mut s, 3);
+        decide(&mut s, v[0].positive());
+        decide(&mut s, v[1].positive());
+        decide(&mut s, v[2].positive());
+        assert!(s.add_clause(&[v[0].negative(), v[2].negative()]));
+        // Levels 1 and 3 are false: unit at level 1, so ¬v2 is asserted there.
+        assert_eq!(s.decision_level(), 1);
+        assert_eq!(s.value(v[2].negative()), LBool::True);
+        assert_eq!(level_of(&s, v[2]), 1);
+        assert!(s.reason[v[2].index()].is_some());
+        assert_eq!(s.value(v[1].positive()), LBool::Undef);
+    }
+
+    #[test]
+    fn falsified_clause_with_two_literals_at_the_top_level_unassigns_both() {
+        let mut s = Solver::new();
+        let v = vars(&mut s, 3);
+        assert!(s.add_clause(&[v[1].negative(), v[2].positive()]));
+        decide(&mut s, v[0].positive());
+        decide(&mut s, v[1].positive()); // implies v2 at level 2
+        assert_eq!(level_of(&s, v[2]), 2);
+        assert!(s.add_clause(&[v[0].negative(), v[1].negative(), v[2].negative()]));
+        assert_eq!(s.decision_level(), 1);
+        assert_eq!(s.value(v[1].positive()), LBool::Undef);
+        assert_eq!(s.value(v[2].positive()), LBool::Undef);
+        // Resuming from level 1 respects the new clause.
+        assert_eq!(s.solve(&[]), SatResult::Sat);
+        assert!(s.model_value(v[0]));
+        assert!(!s.model_value(v[1]));
+    }
+
+    #[test]
+    fn clause_unit_under_the_trail_is_enqueued_at_its_highest_false_level() {
+        let mut s = Solver::new();
+        let v = vars(&mut s, 3);
+        decide(&mut s, v[0].positive());
+        decide(&mut s, v[1].positive());
+        decide(&mut s, v[2].positive());
+        let d = s.new_var();
+        assert!(s.add_clause(&[v[0].negative(), v[1].negative(), d.positive()]));
+        assert_eq!(s.decision_level(), 2);
+        assert_eq!(s.value(d.positive()), LBool::True);
+        assert_eq!(level_of(&s, d), 2);
+    }
+
+    #[test]
+    fn clause_unit_at_the_root_goes_to_level_zero() {
+        let mut s = Solver::new();
+        let v = vars(&mut s, 4);
+        assert!(s.add_clause(&[v[0].negative()]));
+        decide(&mut s, v[1].positive());
+        decide(&mut s, v[2].positive());
+        // v0 is false at level 0, so the clause is the unit v3.
+        assert!(s.add_clause(&[v[0].positive(), v[3].positive()]));
+        assert_eq!(s.decision_level(), 0);
+        assert_eq!(s.value(v[3].positive()), LBool::True);
+        assert_eq!(level_of(&s, v[3]), 0);
+    }
+
+    #[test]
+    fn clause_satisfied_only_above_its_false_level_is_reasserted_there() {
+        let mut s = Solver::new();
+        let v = vars(&mut s, 2);
+        decide(&mut s, v[0].positive());
+        decide(&mut s, v[1].positive());
+        // ¬v0 is false at level 1, v1 true at level 2: unit at level 1.
+        assert!(s.add_clause(&[v[0].negative(), v[1].positive()]));
+        assert_eq!(s.decision_level(), 1);
+        assert_eq!(s.value(v[1].positive()), LBool::True);
+        assert_eq!(level_of(&s, v[1]), 1);
+    }
+
+    #[test]
+    fn clause_satisfied_below_its_false_level_keeps_the_trail() {
+        let mut s = Solver::new();
+        let v = vars(&mut s, 2);
+        decide(&mut s, v[0].positive());
+        decide(&mut s, v[1].positive());
+        assert!(s.add_clause(&[v[0].positive(), v[1].negative()]));
+        assert_eq!(s.decision_level(), 2);
+    }
+
+    #[test]
+    fn kept_trail_resumes_only_under_the_same_assumptions() {
+        let mut s = Solver::new();
+        let v = vars(&mut s, 3);
+        assert!(s.add_clause(&[v[0].positive(), v[1].positive(), v[2].positive()]));
+        assert_eq!(s.solve(&[v[0].negative()]), SatResult::Sat);
+        assert!(s.decision_level() >= 1, "the model's trail is kept");
+        let decisions = s.stats().decisions;
+        // Same assumptions, nothing changed: the kept trail is the answer.
+        assert_eq!(s.solve(&[v[0].negative()]), SatResult::Sat);
+        assert_eq!(s.stats().decisions, decisions);
+        // Other assumptions start over from the root.
+        assert_eq!(s.solve(&[v[0].positive()]), SatResult::Sat);
+        assert!(s.model_value(v[0]));
+        assert_eq!(s.trail_assumptions, vec![v[0].positive()]);
+        // XOR rows are added and retired at the root.
+        let (ok, row) = s.add_xor_tracked(&v, true);
+        assert!(ok);
+        assert_eq!(s.decision_level(), 0);
+        assert_eq!(s.solve(&[]), SatResult::Sat);
+        s.deactivate_xor(row.expect("stored row"));
+        assert_eq!(s.decision_level(), 0);
     }
 
     #[test]

@@ -153,8 +153,8 @@ impl XorEngine {
     /// Retires a stored row: it no longer propagates or conflicts, its
     /// occurrence-list entries are purged eagerly, and its slot is queued
     /// for reuse by the next [`XorEngine::add_row`].  Must be called at
-    /// decision level zero (between solves) — assignments already on the
-    /// trail are unaffected.  Deactivating an already-inactive row or an
+    /// decision level zero (`Solver::deactivate_xor` unwinds the kept trail
+    /// first) — assignments already on the trail are unaffected.  Deactivating an already-inactive row or an
     /// unknown id is a no-op.
     pub fn deactivate(&mut self, row: usize) {
         let Some(r) = self.rows.get_mut(row) else {

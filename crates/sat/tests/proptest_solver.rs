@@ -126,3 +126,177 @@ proptest! {
         prop_assert_eq!(unconditioned == SatResult::Sat, brute_force_satisfiable(&instance));
     }
 }
+
+/// A change made between two enumeration steps (see
+/// `enumeration_with_interleaved_changes_matches_brute_force`).
+#[derive(Debug, Clone)]
+struct Event {
+    /// 0 lemma falsified by the last model, 1 unit, 2 arbitrary clause,
+    /// 3 permanent XOR row, 4 guarded XOR row, 5 retire the newest guarded
+    /// row, 6 replace the assumptions.
+    kind: u8,
+    lits: Vec<(usize, bool)>,
+    flag: bool,
+}
+
+fn event_strategy() -> impl Strategy<Value = Vec<Event>> {
+    let lits = proptest::collection::vec((0..NUM_VARS, any::<bool>()), 1..4);
+    let event =
+        (0u8..7, lits, any::<bool>()).prop_map(|(kind, lits, flag)| Event { kind, lits, flag });
+    proptest::collection::vec(event, 0..8)
+}
+
+/// A guarded XOR row as the incremental oracle builds it: the row carries a
+/// slack bit, `¬act ∨ ¬slack` ties it to an activation literal that is
+/// assumed while the row is live, and retiring asserts `¬act` and
+/// deactivates the row.
+struct Guarded {
+    act: Var,
+    row: Option<usize>,
+    /// Index of the row in the reference instance's `xors`.
+    reference: usize,
+}
+
+/// The reference formula: the instance's clauses and rows (retired guarded
+/// rows are removed), the blocked projections and the assumptions.
+struct Reference {
+    instance: RandomInstance,
+    retired: Vec<usize>,
+    blocked: Vec<u32>,
+    assumed: Vec<(usize, bool)>,
+}
+
+impl Reference {
+    fn holds(&self, mask: u32) -> bool {
+        let live = RandomInstance {
+            clauses: self.instance.clauses.clone(),
+            xors: self
+                .instance
+                .xors
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| !self.retired.contains(i))
+                .map(|(_, row)| row.clone())
+                .collect(),
+        };
+        holds(&live, mask)
+            && self
+                .assumed
+                .iter()
+                .all(|&(v, pos)| ((mask >> v) & 1 == 1) == pos)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Enumerates projected models by blocking clauses while the kept trail
+    /// of each model is reused, interleaving lemma clauses, units, XOR rows,
+    /// row retirement and assumption changes.  Every model must satisfy the
+    /// formula of its moment, and when the solver runs dry every projection
+    /// the final formula allows must have been enumerated.
+    #[test]
+    fn enumeration_with_interleaved_changes_matches_brute_force(
+        instance in instance_strategy(),
+        projection_mask in 1u32..(1 << NUM_VARS),
+        assumed in proptest::collection::vec((0..NUM_VARS, any::<bool>()), 0..3),
+        events in event_strategy(),
+    ) {
+        let (mut solver, vars) = build_solver(&instance);
+        let mut reference = Reference { instance, retired: Vec::new(), blocked: Vec::new(), assumed };
+        let mut guarded: Vec<Guarded> = Vec::new();
+        let mut events = events.into_iter();
+        let mut last_model = 0u32;
+        loop {
+            let mut assumptions: Vec<_> =
+                reference.assumed.iter().map(|&(v, pos)| vars[v].lit(pos)).collect();
+            assumptions.extend(guarded.iter().map(|g| g.act.positive()));
+            let verdict = solver.solve(&assumptions);
+            match verdict {
+                SatResult::Sat => {
+                    let mut mask = 0u32;
+                    for (i, v) in vars.iter().enumerate() {
+                        if solver.model_value(*v) {
+                            mask |= 1 << i;
+                        }
+                    }
+                    prop_assert!(reference.holds(mask), "model {mask:#b} violates the formula");
+                    let projected = mask & projection_mask;
+                    prop_assert!(!reference.blocked.contains(&projected), "blocked model returned");
+                    reference.blocked.push(projected);
+                    prop_assert!(reference.blocked.len() <= 1 << NUM_VARS, "enumeration does not terminate");
+                    let blocking: Vec<_> = (0..NUM_VARS)
+                        .filter(|&v| (projection_mask >> v) & 1 == 1)
+                        .map(|v| vars[v].lit((mask >> v) & 1 == 0))
+                        .collect();
+                    solver.add_clause(&blocking);
+                    last_model = mask;
+                }
+                SatResult::Unsat => {}
+                SatResult::Unknown => prop_assert!(false, "no budget was set, unknown is impossible"),
+            }
+            let Some(event) = events.next() else {
+                if verdict == SatResult::Unsat {
+                    break;
+                }
+                continue;
+            };
+            let lits = |pos: &dyn Fn(usize, bool) -> bool| -> Vec<(usize, bool)> {
+                event.lits.iter().map(|&(v, p)| (v, pos(v, p))).collect()
+            };
+            match event.kind {
+                0..=2 => {
+                    let clause = match event.kind {
+                        // Every literal false under the last model.
+                        0 => lits(&|v, _| (last_model >> v) & 1 == 0),
+                        1 => lits(&|_, p| p)[..1].to_vec(),
+                        _ => lits(&|_, p| p),
+                    };
+                    let sat_lits: Vec<_> = clause.iter().map(|&(v, p)| vars[v].lit(p)).collect();
+                    solver.add_clause(&sat_lits);
+                    reference.instance.clauses.push(clause);
+                }
+                3 => {
+                    let row: Vec<usize> = event.lits.iter().map(|&(v, _)| v).collect();
+                    let xs: Vec<Var> = row.iter().map(|&v| vars[v]).collect();
+                    solver.add_xor(&xs, event.flag);
+                    reference.instance.xors.push((row, event.flag));
+                }
+                4 => {
+                    let row: Vec<usize> = event.lits.iter().map(|&(v, _)| v).collect();
+                    let slack = solver.new_var();
+                    let act = solver.new_var();
+                    let mut xs: Vec<Var> = row.iter().map(|&v| vars[v]).collect();
+                    xs.push(slack);
+                    let (_, id) = solver.add_xor_tracked(&xs, event.flag);
+                    solver.add_clause(&[act.negative(), slack.negative()]);
+                    guarded.push(Guarded { act, row: id, reference: reference.instance.xors.len() });
+                    reference.instance.xors.push((row, event.flag));
+                }
+                5 => {
+                    if let Some(g) = guarded.pop() {
+                        solver.add_clause(&[g.act.negative()]);
+                        if let Some(id) = g.row {
+                            solver.deactivate_xor(id);
+                        }
+                        reference.retired.push(g.reference);
+                    }
+                }
+                _ => {
+                    let keep = if event.flag { 2 } else { 0 };
+                    reference.assumed = event.lits.iter().take(keep).copied().collect();
+                }
+            }
+        }
+        // The solver ran dry: every projection the final formula allows
+        // under the final assumptions was enumerated at some point.
+        for mask in 0..(1u32 << NUM_VARS) {
+            if reference.holds(mask) {
+                prop_assert!(
+                    reference.blocked.contains(&(mask & projection_mask)),
+                    "projection {:#b} never enumerated", mask & projection_mask
+                );
+            }
+        }
+    }
+}

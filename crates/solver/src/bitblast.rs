@@ -13,6 +13,7 @@ use pact_ir::{BvValue, Op, Sort, TermId, TermManager};
 use pact_lra::{Constraint, LinExpr, LraVar, Relation};
 use pact_sat::{Lit, Solver, Var};
 
+use crate::dpllt::TheoryMemo;
 use crate::error::{Result, SolverError};
 
 /// A boolean abstraction literal together with its theory meaning.
@@ -43,6 +44,8 @@ pub struct Encoder {
     atoms: Vec<TheoryAtom>,
     atom_of_term: HashMap<TermId, Lit>,
     num_lra_vars: u32,
+    /// The DPLL(T) loop's last theory-consistent assignment.
+    pub(crate) theory_memo: TheoryMemo,
 }
 
 impl Encoder {
@@ -75,6 +78,12 @@ impl Encoder {
     /// The registered theory atoms.
     pub fn atoms(&self) -> &[TheoryAtom] {
         &self.atoms
+    }
+
+    /// The most recent satisfying assignment of the SAT solver, without
+    /// requiring a mutable borrow.
+    pub(crate) fn sat_model(&self) -> &[bool] {
+        self.sat.model()
     }
 
     /// Number of real (LRA) theory variables allocated so far.

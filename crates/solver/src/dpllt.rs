@@ -7,13 +7,43 @@
 //! simplex core, and refine with a lemma until the verdicts agree.  The only
 //! backend-specific input is the assumption set (empty for the rebuilding
 //! context, the live activation literals for the incremental one).
+//!
+//! Consecutive enumeration models mostly differ only in discrete bits, so
+//! they commit to the same theory atoms.  A one-entry [`TheoryMemo`] kept in
+//! the encoder remembers the last theory-consistent atom assignment and its
+//! simplex witness; a model that commits to exactly that assignment again is
+//! answered without building a simplex.
 
 use pact_ir::Rational;
-use pact_lra::{LraResult, Simplex};
+use pact_lra::{Constraint, LraResult, Simplex};
 use pact_sat::{Lit, SatResult};
 
 use crate::bitblast::{atom_value_in_model, Encoder};
 use crate::context::{OracleStats, SolverResult};
+
+/// The last theory-consistent assignment seen by [`solve_with_theory`].
+///
+/// Keyed by the number of LRA variables plus the participating literals (in
+/// atom order, with polarity).  Atom literals are never reused and an atom's
+/// constraints never change, so an equal key means an identical simplex
+/// problem.  Only `Sat` verdicts are stored, and the empty default key
+/// never matches (an empty participating list never reaches the memo).
+/// The memo lives in the [`Encoder`], so a compaction or rebuild that
+/// replaces the encoder drops it.
+#[derive(Debug, Default)]
+pub(crate) struct TheoryMemo {
+    num_lra_vars: usize,
+    participating: Vec<Lit>,
+    witness: Vec<Rational>,
+}
+
+impl TheoryMemo {
+    /// The stored witness when the key matches the last stored one.
+    fn lookup(&self, num_lra_vars: usize, participating: &[Lit]) -> Option<&Vec<Rational>> {
+        (self.num_lra_vars == num_lra_vars && self.participating == participating)
+            .then_some(&self.witness)
+    }
+}
 
 /// Runs the DPLL(T) loop over an already-encoded formula.
 ///
@@ -21,7 +51,8 @@ use crate::context::{OracleStats, SolverResult};
 /// spends at most `max_conflicts` conflicts in total, however many SAT calls
 /// the refinement loop needs.  (A budget of zero permits propagation-only
 /// solving but no search.)  On a satisfiable verdict the simplex witness is
-/// left in `real_model_values`.
+/// left in `real_model_values`.  `stats.theory_checks` counts simplex runs
+/// only; a [`TheoryMemo`] hit is not one.
 pub(crate) fn solve_with_theory(
     encoder: &mut Encoder,
     assumptions: &[Lit],
@@ -54,18 +85,18 @@ pub(crate) fn solve_with_theory(
             SatResult::Sat => {}
         }
         // Collect the theory constraints implied by the boolean model.
-        let model: Vec<bool> = encoder.sat().model().to_vec();
-        let mut simplex = Simplex::new(encoder.num_lra_vars());
+        let model = encoder.sat_model();
         let mut participating: Vec<Lit> = Vec::new();
+        let mut constraints: Vec<&Constraint> = Vec::new();
         for atom in encoder.atoms() {
-            match atom_value_in_model(&model, atom.lit) {
+            match atom_value_in_model(model, atom.lit) {
                 Some(true) => {
-                    simplex.add_constraint(atom.when_true.clone());
+                    constraints.push(&atom.when_true);
                     participating.push(atom.lit);
                 }
                 Some(false) => {
                     if let Some(neg) = &atom.when_false {
-                        simplex.add_constraint(neg.clone());
+                        constraints.push(neg);
                         participating.push(!atom.lit);
                     }
                 }
@@ -76,10 +107,24 @@ pub(crate) fn solve_with_theory(
             real_model_values.clear();
             return SolverResult::Sat;
         }
+        let num_lra_vars = encoder.num_lra_vars();
+        if let Some(witness) = encoder.theory_memo.lookup(num_lra_vars, &participating) {
+            real_model_values.clone_from(witness);
+            return SolverResult::Sat;
+        }
+        let mut simplex = Simplex::new(num_lra_vars);
+        for constraint in constraints {
+            simplex.add_constraint(constraint.clone());
+        }
         stats.theory_checks += 1;
         match simplex.check() {
             LraResult::Sat => {
                 *real_model_values = simplex.model();
+                encoder.theory_memo = TheoryMemo {
+                    num_lra_vars,
+                    participating,
+                    witness: real_model_values.clone(),
+                };
                 return SolverResult::Sat;
             }
             LraResult::Unsat => {

@@ -662,6 +662,111 @@ mod tests {
         assert_eq!(ctx.stats().rebuilds, 0);
     }
 
+    fn real_value(ctx: &IncrementalContext, tm: &TermManager, r: TermId) -> Rational {
+        match ctx.model_value(tm, r).unwrap() {
+            Value::Real(v) => v,
+            other => panic!("expected real value, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn theory_memo_serves_enumeration_with_correct_witnesses() {
+        // b < 4 forces r < 1, b >= 4 forces r > 5: enumerating b's 8 models
+        // visits two theory assignments, so most SAT answers are served by
+        // the memo, and each witness must match its own assignment.
+        let mut tm = TermManager::new();
+        let b = tm.mk_var("b", Sort::BitVec(3));
+        let r = tm.mk_var("r", Sort::Real);
+        let low = assert_bv_lt(&mut tm, b, 4, 3);
+        let one = tm.mk_real_const(Rational::ONE);
+        let five = tm.mk_real_const(Rational::from_int(5));
+        let r_small = tm.mk_real_lt(r, one).unwrap();
+        let r_big = tm.mk_real_lt(five, r).unwrap();
+        let high = tm.mk_not(low);
+        let f1 = tm.mk_implies(low, r_small).unwrap();
+        let f2 = tm.mk_implies(high, r_big).unwrap();
+        let mut ctx = IncrementalContext::new();
+        ctx.track_var(b);
+        ctx.assert_term(f1);
+        ctx.assert_term(f2);
+        ctx.push();
+        let mut models = 0;
+        while ctx.check(&mut tm).unwrap() == SolverResult::Sat {
+            models += 1;
+            assert!(models <= 8, "blocked models came back");
+            let v = ctx.model_value(&tm, b).unwrap().as_bv().unwrap();
+            let rv = real_value(&ctx, &tm, r);
+            if v.as_u128() < 4 {
+                assert!(rv < Rational::ONE, "b = {v:?} with r = {rv:?}");
+            } else {
+                assert!(rv > Rational::from_int(5), "b = {v:?} with r = {rv:?}");
+            }
+            let c = tm.mk_bv_const(v.as_u128(), 3);
+            let eq = tm.mk_eq(b, c);
+            let block = tm.mk_not(eq);
+            ctx.assert_term(block);
+        }
+        assert_eq!(models, 8);
+        // Without the memo every one of the 8 models would run a simplex.
+        let stats = ctx.stats();
+        assert!(
+            stats.theory_checks < models && stats.theory_checks < stats.sat_calls,
+            "the memo answered too little: {stats:?}"
+        );
+    }
+
+    #[test]
+    fn theory_memo_misses_when_a_new_atom_is_encoded() {
+        let mut tm = TermManager::new();
+        let r = tm.mk_var("r", Sort::Real);
+        let zero = tm.mk_real_const(Rational::ZERO);
+        let f = tm.mk_real_lt(zero, r).unwrap();
+        let mut ctx = IncrementalContext::new();
+        ctx.assert_term(f);
+        assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
+        assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
+        assert_eq!(ctx.stats().theory_checks, 1, "same assignment: memo hit");
+        // A new atom joins the participating set, so the key changes.
+        let neg_one = tm.mk_real_const(Rational::from_int(-1));
+        let g = tm.mk_real_lt(r, neg_one).unwrap();
+        let not_g = tm.mk_not(g);
+        ctx.assert_term(not_g);
+        assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
+        assert_eq!(ctx.stats().theory_checks, 2);
+        assert!(real_value(&ctx, &tm, r) > Rational::ZERO);
+    }
+
+    #[test]
+    fn compaction_drops_the_theory_memo() {
+        let mut tm = TermManager::new();
+        let b = tm.mk_var("b", Sort::BitVec(4));
+        let r = tm.mk_var("r", Sort::Real);
+        let zero = tm.mk_real_const(Rational::ZERO);
+        let f = tm.mk_real_lt(zero, r).unwrap();
+        let g = assert_bv_lt(&mut tm, b, 8, 4);
+        let mut ctx = IncrementalContext::new();
+        ctx.set_compaction_threshold(1);
+        ctx.track_var(b);
+        ctx.assert_term(f);
+        ctx.assert_term(g);
+        assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
+        // Two retired entries outnumber nothing but equal the live journal,
+        // which arms a compaction for the next check.
+        ctx.push();
+        let h1 = assert_bv_lt(&mut tm, b, 4, 4);
+        let h2 = assert_bv_lt(&mut tm, b, 2, 4);
+        ctx.assert_term(h1);
+        ctx.assert_term(h2);
+        assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
+        assert_eq!(ctx.stats().theory_checks, 1, "same assignment: memo hit");
+        ctx.pop();
+        assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
+        let stats = ctx.stats();
+        assert_eq!(stats.compactions, 1);
+        assert_eq!(stats.theory_checks, 2, "the fresh encoder has no memo");
+        assert!(real_value(&ctx, &tm, r) > Rational::ZERO);
+    }
+
     #[test]
     fn tracking_new_vars_never_rebuilds() {
         let mut tm = TermManager::new();

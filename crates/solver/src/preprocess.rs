@@ -16,7 +16,7 @@
 
 use std::collections::HashMap;
 
-use pact_ir::{Op, Sort, TermId, TermManager};
+use pact_ir::{AppHead, Op, Sort, TermId, TermManager};
 
 use crate::error::{Result, SolverError};
 
@@ -56,15 +56,7 @@ struct Application {
 struct State {
     cache: HashMap<TermId, TermId>,
     /// Applications grouped by "function": an array variable or a UF symbol.
-    groups: HashMap<GroupKey, Vec<Application>>,
-}
-
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum GroupKey {
-    /// Reads of the array variable with the given term id.
-    Array(TermId),
-    /// Applications of the uninterpreted function with the given symbol.
-    Fun(u32),
+    groups: HashMap<AppHead, Vec<Application>>,
 }
 
 impl State {
@@ -86,8 +78,7 @@ impl State {
                     children.iter().map(|&c| self.rewrite(tm, c)).collect();
                 let args = args?;
                 let ret = tm.fun_decl(f).ret.clone();
-                let name = tm.fun_decl(f).name.clone();
-                self.flatten_application(tm, GroupKey::Fun(f), args, ret, &name)
+                self.flatten_application(tm, AppHead::Fun(f), args, ret)
             }
             Op::Eq if matches!(tm.sort(children[0]), Sort::Array { .. }) => {
                 return Err(SolverError::Unsupported(
@@ -143,14 +134,7 @@ impl State {
                         )))
                     }
                 };
-                let name = tm.var_name(array).unwrap_or("array").to_string();
-                Ok(self.flatten_application(
-                    tm,
-                    GroupKey::Array(array),
-                    vec![index],
-                    element,
-                    &name,
-                ))
+                Ok(self.flatten_application(tm, AppHead::Array(array), vec![index], element))
             }
             other => Err(SolverError::Unsupported(format!(
                 "select on array expression {other:?}"
@@ -158,37 +142,31 @@ impl State {
         }
     }
 
+    /// Replaces an application by its result variable.  The variable comes
+    /// from the term manager's memo, so re-preprocessing the same formula
+    /// (a fresh oracle per count) reuses it instead of minting a new one.
     fn flatten_application(
         &mut self,
         tm: &mut TermManager,
-        key: GroupKey,
+        head: AppHead,
         args: Vec<TermId>,
         ret: Sort,
-        name_hint: &str,
     ) -> TermId {
-        // Reuse the fresh variable when the exact same application was seen.
-        if let Some(apps) = self.groups.get(&key) {
-            for app in apps {
-                if app.args == args {
-                    return app.result;
-                }
-            }
+        let result = tm.mk_app_var(head, &args, ret);
+        let apps = self.groups.entry(head).or_default();
+        if !apps.iter().any(|app| app.result == result) {
+            apps.push(Application { args, result });
         }
-        let result = tm.mk_fresh_var(&format!("{name_hint}!ack"), ret);
-        self.groups
-            .entry(key)
-            .or_default()
-            .push(Application { args, result });
         result
     }
 
     /// Pairwise congruence: equal arguments imply equal results.
     fn congruence_axioms(&self, tm: &mut TermManager) -> Result<Vec<TermId>> {
         let mut axioms = Vec::new();
-        let mut groups: Vec<(&GroupKey, &Vec<Application>)> = self.groups.iter().collect();
+        let mut groups: Vec<(&AppHead, &Vec<Application>)> = self.groups.iter().collect();
         groups.sort_by_key(|(k, _)| match k {
-            GroupKey::Array(t) => (0u8, t.index() as u32),
-            GroupKey::Fun(f) => (1u8, *f),
+            AppHead::Array(t) => (0u8, t.index() as u32),
+            AppHead::Fun(f) => (1u8, *f),
         });
         for (_, apps) in groups {
             for i in 0..apps.len() {
