@@ -46,7 +46,7 @@ fn main() {
                         report.stats.oracle_calls,
                         report.stats.cells_explored,
                         report.stats.cells_explored as f64 / iters,
-                        report.stats.rebuilds,
+                        report.stats.oracle.rebuilds,
                         report.stats.oracle_seconds,
                         report.stats.wall_seconds
                     );

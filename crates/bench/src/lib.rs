@@ -441,20 +441,19 @@ pub const RECORD_SCHEMA_FIELDS: [&str; 31] = [
 pub fn records_to_json(records: &[RunRecord]) -> String {
     let mut out = String::from("[\n");
     for (i, record) in records.iter().enumerate() {
-        let (kind, value, log2) = match record.report.outcome {
-            CountOutcome::Exact(n) => ("exact", n as f64, (n as f64).max(1.0).log2()),
-            CountOutcome::Approximate {
-                estimate,
-                log2_estimate,
-            } => ("approximate", estimate, log2_estimate),
-            CountOutcome::Unsatisfiable => ("unsat", 0.0, 0.0),
-            CountOutcome::Timeout => ("timeout", -1.0, -1.0),
-        };
+        let (kind, value, log2) = record.report.outcome.record_fields();
         let stats = &record.report.stats;
+        let oracle = &stats.oracle;
+        // The flat columns of an absent backend block read as zeros.
+        let portfolio = stats.portfolio.unwrap_or_default();
+        let cube = stats.cube.unwrap_or_default();
+        let policy = stats.policy.unwrap_or_default();
         // Compact (no inner spaces) so the flat line format stays parseable
         // by split-on-", " consumers: one entry per configured worker.
-        let wins = stats.worker_wins[..stats.portfolio_workers as usize]
+        let wins = portfolio
+            .wins
             .iter()
+            .take(portfolio.workers as usize)
             .map(u64::to_string)
             .collect::<Vec<_>>()
             .join(",");
@@ -463,8 +462,8 @@ pub fn records_to_json(records: &[RunRecord]) -> String {
         let shard = record.shard.map(|s| s as i64).unwrap_or(-1);
         // Compact like `worker_wins`: all four slots, in the fixed rebuild /
         // incremental / portfolio / cube order.
-        let policy_checks = stats
-            .policy_backend_checks
+        let policy_checks = policy
+            .backend_checks
             .iter()
             .map(u64::to_string)
             .collect::<Vec<_>>()
@@ -501,21 +500,21 @@ pub fn records_to_json(records: &[RunRecord]) -> String {
             stats.oracle_calls,
             stats.cells_explored,
             stats.iterations,
-            stats.rebuilds,
-            stats.portfolio_workers,
+            oracle.rebuilds,
+            portfolio.workers,
             wins,
-            stats.cancelled_solves,
-            stats.cubes_split,
-            stats.cubes_solved,
-            stats.cube_refuted_by_lookahead,
-            stats.pool_reuses,
-            stats.compactions,
+            portfolio.cancelled,
+            cube.splits,
+            cube.cubes_solved,
+            cube.refuted_by_lookahead,
+            oracle.pool_reuses,
+            oracle.compactions,
             stats.terms_interned,
-            stats.preprocess_cache_hits,
-            stats.probe_cache_hits,
-            stats.policy_switches,
+            oracle.preprocess_cache_hits,
+            cube.probe_cache_hits,
+            policy.switches,
             policy_checks,
-            stats.cube_depth_max,
+            policy.cube_depth_max,
             stats.oracle_seconds,
             stats.wall_seconds,
             if i + 1 < records.len() { "," } else { "" },
@@ -620,6 +619,7 @@ pub fn cactus_report(series: &[(Configuration, Vec<f64>)]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pact::{CubeStats, PolicyStats, PortfolioStats, MAX_PORTFOLIO_WORKERS};
     use pact_benchgen::{paper_suite, SuiteParams};
 
     fn tiny_suite() -> Vec<Instance> {
@@ -724,6 +724,8 @@ mod tests {
             .collect();
         assert_eq!(parsed.len(), records.len());
         for (fields, record) in parsed.iter().zip(&records) {
+            let portfolio = record.report.stats.portfolio.unwrap_or_default();
+            let cube = record.report.stats.cube.unwrap_or_default();
             // The schema is pinned: exactly these keys, in this order.
             let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
             assert_eq!(keys, RECORD_SCHEMA_FIELDS);
@@ -764,37 +766,34 @@ mod tests {
             );
             assert_eq!(
                 get("rebuilds").parse::<u64>().unwrap(),
-                record.report.stats.rebuilds
+                record.report.stats.oracle.rebuilds
             );
             assert_eq!(
                 get("portfolio_workers").parse::<u32>().unwrap(),
-                record.report.stats.portfolio_workers
+                portfolio.workers
             );
             let wins = get("worker_wins");
             assert!(wins.starts_with('[') && wins.ends_with(']'), "{wins}");
             assert_eq!(
                 get("cancelled_solves").parse::<u64>().unwrap(),
-                record.report.stats.cancelled_solves
+                portfolio.cancelled
             );
-            assert_eq!(
-                get("cubes_split").parse::<u64>().unwrap(),
-                record.report.stats.cubes_split
-            );
+            assert_eq!(get("cubes_split").parse::<u64>().unwrap(), cube.splits);
             assert_eq!(
                 get("cubes_solved").parse::<u64>().unwrap(),
-                record.report.stats.cubes_solved
+                cube.cubes_solved
             );
             assert_eq!(
                 get("cube_refuted_by_lookahead").parse::<u64>().unwrap(),
-                record.report.stats.cube_refuted_by_lookahead
+                cube.refuted_by_lookahead
             );
             assert_eq!(
                 get("pool_reuses").parse::<u64>().unwrap(),
-                record.report.stats.pool_reuses
+                record.report.stats.oracle.pool_reuses
             );
             assert_eq!(
                 get("compactions").parse::<u64>().unwrap(),
-                record.report.stats.compactions
+                record.report.stats.oracle.compactions
             );
             // The v7 hash-consing triple: the interned store is never empty
             // for a run that built a formula, and the caches round-trip.
@@ -805,11 +804,11 @@ mod tests {
             assert!(get("terms_interned").parse::<u64>().unwrap() > 0);
             assert_eq!(
                 get("preprocess_cache_hits").parse::<u64>().unwrap(),
-                record.report.stats.preprocess_cache_hits
+                record.report.stats.oracle.preprocess_cache_hits
             );
             assert_eq!(
                 get("probe_cache_hits").parse::<u64>().unwrap(),
-                record.report.stats.probe_cache_hits
+                cube.probe_cache_hits
             );
             assert!(get("oracle_seconds").parse::<f64>().unwrap() >= 0.0);
             assert_eq!(
@@ -819,6 +818,178 @@ mod tests {
             let wall = get("wall_seconds").parse::<f64>().unwrap();
             assert!((wall - record.report.stats.wall_seconds).abs() < 1e-5);
         }
+    }
+
+    /// Hand-built stats with every counter non-zero: a 3-worker portfolio,
+    /// cube and policy blocks present.
+    fn golden_stats() -> pact::CountStats {
+        pact::CountStats {
+            oracle_calls: 41,
+            cells_explored: 17,
+            iterations: 3,
+            final_hash_count: 5,
+            oracle_seconds: 0.75,
+            wall_seconds: 1.5,
+            terms_interned: 43,
+            oracle: pact::OracleStats {
+                checks: 41,
+                sat_calls: 79,
+                theory_checks: 83,
+                theory_lemmas: 89,
+                rebuilds: 2,
+                conflicts: 97,
+                pool_reuses: 31,
+                compactions: 37,
+                dead_clauses_reclaimed: 101,
+                preprocess_cache_hits: 47,
+            },
+            portfolio: Some(PortfolioStats {
+                workers: 3,
+                wins: [11, 12, 13, 0, 0, 0, 0, 0],
+                cancelled: 7,
+            }),
+            cube: Some(CubeStats {
+                splits: 19,
+                cubes_solved: 23,
+                refuted_by_lookahead: 29,
+                probe_cache_hits: 53,
+            }),
+            policy: Some(PolicyStats {
+                switches: 59,
+                backend_checks: [61, 67, 71, 73],
+                cube_depth_max: 6,
+            }),
+        }
+    }
+
+    #[test]
+    fn records_to_json_renders_a_golden_record() {
+        // The bytes are pinned: the flat schema-v9 keys, whatever shape
+        // `CountStats` takes in memory.
+        let record = RunRecord {
+            instance: "golden".to_string(),
+            logic: Logic::QfBvfplra,
+            configuration: Configuration::Pact(HashFamily::Xor),
+            backend: Backend::Adaptive,
+            shard: Some(1),
+            queue_seconds: 0.25,
+            cost_estimate: 384,
+            report: CountReport {
+                outcome: CountOutcome::Approximate {
+                    estimate: 1536.0,
+                    log2_estimate: 1536f64.log2(),
+                },
+                stats: golden_stats(),
+            },
+        };
+        assert_eq!(
+            records_to_json(&[record]),
+            concat!(
+                "[\n",
+                "  {\"schema_version\": 9, \"instance\": \"golden\", \"logic\": \"QF_BVFPLRA\", ",
+                "\"configuration\": \"pact_xor\", \"backend\": \"adaptive\", \"shard\": 1, ",
+                "\"queue_seconds\": 0.250000, \"cost_estimate\": 384, \"outcome\": \"approximate\", ",
+                "\"estimate\": 1536, \"log2_estimate\": 10.584962500721156, \"oracle_calls\": 41, ",
+                "\"cells_explored\": 17, \"iterations\": 3, \"rebuilds\": 2, ",
+                "\"portfolio_workers\": 3, \"worker_wins\": [11,12,13], \"cancelled_solves\": 7, ",
+                "\"cubes_split\": 19, \"cubes_solved\": 23, \"cube_refuted_by_lookahead\": 29, ",
+                "\"pool_reuses\": 31, \"compactions\": 37, \"terms_interned\": 43, ",
+                "\"preprocess_cache_hits\": 47, \"probe_cache_hits\": 53, \"policy_switches\": 59, ",
+                "\"policy_backend_checks\": [61,67,71,73], \"cube_depth_max\": 6, ",
+                "\"oracle_seconds\": 0.750000, \"wall_seconds\": 1.500000}\n",
+                "]\n"
+            )
+        );
+    }
+
+    /// Delegates to the reference [`pact::Context`] but claims a 64-worker
+    /// portfolio — more than the fixed-size `wins` array can hold.
+    struct OversizedPortfolio(pact::Context);
+
+    impl pact::Oracle for OversizedPortfolio {
+        fn push(&mut self) {
+            self.0.push();
+        }
+
+        fn pop(&mut self) {
+            self.0.pop();
+        }
+
+        fn assert_term(&mut self, t: pact_ir::TermId) {
+            self.0.assert_term(t);
+        }
+
+        fn assert_xor_bits(&mut self, bits: Vec<(pact_ir::TermId, u32)>, rhs: bool) {
+            self.0.assert_xor_bits(bits, rhs);
+        }
+
+        fn track_var(&mut self, var: pact_ir::TermId) {
+            self.0.track_var(var);
+        }
+
+        fn check(
+            &mut self,
+            tm: &mut pact_ir::TermManager,
+        ) -> pact_solver::Result<pact::SolverResult> {
+            self.0.check(tm)
+        }
+
+        fn model_value(
+            &self,
+            tm: &pact_ir::TermManager,
+            var: pact_ir::TermId,
+        ) -> Option<pact_ir::Value> {
+            self.0.model_value(tm, var)
+        }
+
+        fn projected_model(
+            &self,
+            tm: &pact_ir::TermManager,
+            projection: &[pact_ir::TermId],
+        ) -> Option<Vec<pact_ir::BvValue>> {
+            self.0.projected_model(tm, projection)
+        }
+
+        fn stats(&self) -> pact::OracleStats {
+            self.0.stats()
+        }
+
+        fn portfolio(&self) -> Option<PortfolioStats> {
+            Some(PortfolioStats {
+                workers: 64,
+                ..PortfolioStats::default()
+            })
+        }
+    }
+
+    #[test]
+    fn an_oversized_portfolio_report_is_clamped_and_renders() {
+        let suite = tiny_suite();
+        let factory = pact::OracleFactory::new(|config| {
+            Box::new(OversizedPortfolio(pact::Context::with_config(config)))
+        });
+        let config = HarnessConfig::default()
+            .counter_config(HashFamily::Xor)
+            .with_oracle_factory(factory);
+        let report = instance_session(&suite[0])
+            .and_then(|mut session| session.count_with(&config))
+            .unwrap();
+        assert_eq!(
+            report.stats.portfolio.unwrap().workers,
+            MAX_PORTFOLIO_WORKERS as u32
+        );
+        let record = RunRecord {
+            instance: suite[0].name.clone(),
+            logic: suite[0].logic,
+            configuration: Configuration::Pact(HashFamily::Xor),
+            backend: Backend::Rebuild,
+            shard: None,
+            queue_seconds: 0.0,
+            cost_estimate: 0,
+            report,
+        };
+        let json = records_to_json(&[record]);
+        assert!(json.contains("\"portfolio_workers\": 8, \"worker_wins\": [0,0,0,0,0,0,0,0]"));
     }
 
     #[test]
@@ -857,7 +1028,7 @@ mod tests {
             rebuild.report.stats.oracle_calls,
             incremental.report.stats.oracle_calls
         );
-        assert_eq!(incremental.report.stats.rebuilds, 0);
+        assert_eq!(incremental.report.stats.oracle.rebuilds, 0);
         assert!(incremental.report.stats.oracle_seconds >= 0.0);
         // The JSON artifact distinguishes the rows.
         let json = records_to_json(&[rebuild, incremental]);
@@ -905,13 +1076,15 @@ mod tests {
             rebuild.report.stats.oracle_calls
         );
         assert_eq!(
-            portfolio.report.stats.portfolio_workers,
+            portfolio.report.stats.portfolio.unwrap().workers,
             portfolio_workers() as u32
         );
         let winners = portfolio
             .report
             .stats
-            .worker_wins
+            .portfolio
+            .unwrap()
+            .wins
             .iter()
             .filter(|&&w| w > 0)
             .count();
@@ -922,7 +1095,7 @@ mod tests {
         assert!(
             winners >= expected_spread,
             "wins = {:?}",
-            portfolio.report.stats.worker_wins
+            portfolio.report.stats.portfolio.unwrap().wins
         );
         let json = records_to_json(&[portfolio]);
         assert!(json.contains("\"backend\": \"portfolio\""));
@@ -981,11 +1154,14 @@ mod tests {
             rebuild.report.stats.oracle_calls
         );
         assert!(
-            cube.report.stats.cubes_split > 0,
+            cube.report.stats.cube.unwrap().splits > 0,
             "the cube backend never split a check"
         );
-        assert!(cube.report.stats.cubes_solved >= cube.report.stats.cube_refuted_by_lookahead);
-        assert_eq!(rebuild.report.stats.cubes_split, 0);
+        assert!(
+            cube.report.stats.cube.unwrap().cubes_solved
+                >= cube.report.stats.cube.unwrap().refuted_by_lookahead
+        );
+        assert_eq!(rebuild.report.stats.cube.unwrap_or_default().splits, 0);
         let json = records_to_json(&[cube]);
         assert!(json.contains("\"backend\": \"cube\""));
         assert!(json.contains("\"cubes_split\""));

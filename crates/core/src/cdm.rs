@@ -30,10 +30,7 @@ use crate::config::CounterConfig;
 use crate::error::{CountError, CountResult};
 use crate::parallel::{run_rounds, RoundOutput};
 use crate::progress::{ProgressEvent, RunControl};
-use crate::result::{
-    finish_report as finish, median, merge_cube, merge_policy, merge_portfolio, merge_round_stats,
-    CountOutcome, CountReport, CountStats,
-};
+use crate::result::{finish_report as finish, median, CountOutcome, CountReport, CountStats};
 use crate::session::Session;
 
 /// Number of formula copies needed so that a factor-2 estimate of the
@@ -187,15 +184,7 @@ pub(crate) fn count_cdm(
         );
         match value {
             Ok(mut outcome) => {
-                let oracle_stats = round_ctx.stats();
-                outcome.stats.oracle_calls = oracle_stats.checks;
-                outcome.stats.rebuilds = oracle_stats.rebuilds;
-                outcome.stats.pool_reuses = oracle_stats.pool_reuses;
-                outcome.stats.compactions = oracle_stats.compactions;
-                outcome.stats.preprocess_cache_hits = oracle_stats.preprocess_cache_hits;
-                merge_portfolio(&mut outcome.stats, round_ctx.portfolio());
-                merge_cube(&mut outcome.stats, round_ctx.cube());
-                merge_policy(&mut outcome.stats, round_ctx.policy());
+                outcome.stats.absorb(&*round_ctx);
                 ctrl_ref.emit(ProgressEvent::Round {
                     round,
                     estimate: outcome.estimate,
@@ -219,7 +208,7 @@ pub(crate) fn count_cdm(
     for slot in outputs {
         let Some(record) = slot else { break };
         let record = record?;
-        merge_round_stats(&mut stats, &record.stats);
+        stats += &record.stats;
         if let Some(estimate) = record.estimate {
             estimates.push(estimate);
             stats.iterations += 1;

@@ -21,10 +21,7 @@ use crate::constants::get_constants;
 use crate::error::{CountError, CountResult};
 use crate::parallel::{run_rounds, RoundOutput};
 use crate::progress::{ProgressEvent, RunControl};
-use crate::result::{
-    finish_report as finish, median, merge_cube, merge_policy, merge_portfolio, merge_round_stats,
-    CountOutcome, CountReport, CountStats,
-};
+use crate::result::{finish_report as finish, median, CountOutcome, CountReport, CountStats};
 use crate::saturating::{saturating_count_ctl, CellCount};
 use crate::session::Session;
 
@@ -200,15 +197,7 @@ pub(crate) fn count_pact(
             &mut rng,
             &mut round_stats,
         );
-        let oracle_stats = round_ctx.stats();
-        round_stats.oracle_calls = oracle_stats.checks;
-        round_stats.rebuilds = oracle_stats.rebuilds;
-        round_stats.pool_reuses = oracle_stats.pool_reuses;
-        round_stats.compactions = oracle_stats.compactions;
-        round_stats.preprocess_cache_hits = oracle_stats.preprocess_cache_hits;
-        merge_portfolio(&mut round_stats, round_ctx.portfolio());
-        merge_cube(&mut round_stats, round_ctx.cube());
-        merge_policy(&mut round_stats, round_ctx.policy());
+        round_stats.absorb(&*round_ctx);
         match result {
             Ok(outcome) => {
                 ctrl_ref.emit(ProgressEvent::Round {
@@ -240,7 +229,7 @@ pub(crate) fn count_pact(
     for slot in outputs {
         let Some(record) = slot else { break };
         let record = record?;
-        merge_round_stats(&mut stats, &record.stats);
+        stats += &record.stats;
         if record.stats.final_hash_count > 0 {
             stats.final_hash_count = record.stats.final_hash_count;
         }

@@ -7,7 +7,7 @@ use pact_ir::{TermId, TermManager};
 use crate::config::CounterConfig;
 use crate::error::{CountError, CountResult};
 use crate::progress::{ProgressEvent, RunControl};
-use crate::result::{CountOutcome, CountReport, CountStats};
+use crate::result::{finish_report, CountOutcome, CountReport, CountStats};
 use crate::saturating::{saturating_count_ctl, CellCount};
 use crate::session::Session;
 
@@ -101,17 +101,7 @@ pub(crate) fn count_enumerate(
     let result = saturating_count_ctl(&mut *ctx, tm, projection, limit, &ctrl)?;
     stats.oracle_seconds = oracle_timer.elapsed().as_secs_f64();
     stats.cells_explored = 1;
-    let oracle_stats = ctx.stats();
-    stats.oracle_calls = oracle_stats.checks;
-    stats.rebuilds = oracle_stats.rebuilds;
-    stats.pool_reuses = oracle_stats.pool_reuses;
-    stats.compactions = oracle_stats.compactions;
-    stats.preprocess_cache_hits = oracle_stats.preprocess_cache_hits;
     stats.terms_interned = tm.len() as u64;
-    crate::result::merge_portfolio(&mut stats, ctx.portfolio());
-    crate::result::merge_cube(&mut stats, ctx.cube());
-    crate::result::merge_policy(&mut stats, ctx.policy());
-    stats.wall_seconds = start.elapsed().as_secs_f64();
     ctrl.emit(ProgressEvent::Cell {
         round: 0,
         cells_in_round: 1,
@@ -121,7 +111,7 @@ pub(crate) fn count_enumerate(
         CellCount::Exact(n) => CountOutcome::Exact(n),
         CellCount::Saturated | CellCount::Unknown => CountOutcome::Timeout,
     };
-    Ok(CountReport { outcome, stats })
+    Ok(finish_report(outcome, stats, &*ctx, start))
 }
 
 #[cfg(test)]

@@ -77,8 +77,8 @@ pub use counter::pact_count;
 pub use enumerate::enumerate_count;
 pub use error::{ConfigError, CountError, CountResult};
 pub use pact_solver::{
-    cubes_partition, CubeStats, InterruptFlag, PortfolioStats, MAX_CUBE_DEPTH, MAX_CUBE_WORKERS,
-    MAX_PORTFOLIO_WORKERS,
+    cubes_partition, CubeStats, InterruptFlag, PolicyStats, PortfolioStats, MAX_CUBE_DEPTH,
+    MAX_CUBE_WORKERS, MAX_PORTFOLIO_WORKERS,
 };
 pub use progress::{CancellationToken, Progress, ProgressEvent, RunControl};
 pub use result::{median, relative_error, CountOutcome, CountReport, CountStats};

@@ -2,12 +2,19 @@
 
 use std::fmt;
 
-use pact_solver::{CubeStats, PolicyStats, PortfolioStats, MAX_PORTFOLIO_WORKERS, POLICY_BACKENDS};
+use pact_solver::{CubeStats, Oracle, OracleStats, PolicyStats, PortfolioStats};
 
 /// Statistics collected while counting one instance.
+///
+/// The run-level fields are the engine's own; everything an oracle
+/// accounts for lives in [`CountStats::oracle`] and the three optional
+/// backend-specific blocks, summed over every oracle the run built.  One
+/// merge path feeds them: the engines fold each finished oracle in, and
+/// `+=` folds a finished round into the run.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CountStats {
-    /// Number of SMT oracle (`check`) calls issued.
+    /// Number of SMT oracle (`check`) calls issued — the paper's cost
+    /// measure; always equal to `oracle.checks`.
     pub oracle_calls: u64,
     /// Number of cells whose size was measured with `SaturatingCounter`.
     pub cells_explored: u64,
@@ -15,149 +22,71 @@ pub struct CountStats {
     pub iterations: u32,
     /// Number of hash constraints in the final cell of the last iteration.
     pub final_hash_count: u32,
-    /// Wall-clock time spent, in seconds.
-    pub wall_seconds: f64,
-    /// Number of encoder rebuilds across every oracle the run built (the
-    /// rebuilding backend pays one per `pop` that crosses encoded
-    /// assertions; the incremental backend reports 0).  Deterministic for a
-    /// fixed seed and backend, like `oracle_calls`.
-    pub rebuilds: u64,
     /// Wall-clock seconds spent inside oracle work (cell measurements),
     /// summed over all rounds — with parallel rounds this can exceed
     /// `wall_seconds`, like CPU time.
     pub oracle_seconds: f64,
-    /// Number of workers the portfolio backend raced per oracle `check`
-    /// (0 for the single-engine backends).
-    pub portfolio_workers: u32,
-    /// Decisive answers credited per portfolio worker slot, summed over
-    /// every oracle the run built; only the first `portfolio_workers`
-    /// entries are meaningful.  Two-plus non-zero slots mean the
-    /// diversification is live (no single worker dominates).
-    pub worker_wins: [u64; MAX_PORTFOLIO_WORKERS],
-    /// Portfolio worker solves cut short after losing a race.
-    pub cancelled_solves: u64,
-    /// Oracle checks the cube backend split into cubes (0 for every other
-    /// backend).  Deterministic for a fixed seed, like `oracle_calls`.
-    pub cubes_split: u64,
-    /// Cubes decisively answered — probe-refuted, probe-satisfied, or
-    /// conquered to SAT/UNSAT.  The conquest share is timing-dependent
-    /// (siblings cancelled after a SAT short-circuit are not "solved"), so
-    /// this varies run to run like `worker_wins`.
-    pub cubes_solved: u64,
-    /// Cubes the lookahead probe refuted before any conquest work was
-    /// spent (a subset of `cubes_solved`; scout-side, deterministic).
-    pub cube_refuted_by_lookahead: u64,
-    /// Batches the parallel backends' persistent worker pools served — one
-    /// per racing/conquering `check` — instead of spawning fresh threads
-    /// (0 for the single-engine backends).  Deterministic for a fixed seed,
-    /// like `oracle_calls`.
-    pub pool_reuses: u64,
-    /// Frame-garbage compactions the activation-literal oracles performed:
-    /// re-encodes of the live frames into a fresh solver once retired-frame
-    /// clauses dominated.  Not a rebuild — `rebuilds` stays 0 for those
-    /// backends.
-    pub compactions: u64,
+    /// Wall-clock time spent, in seconds.
+    pub wall_seconds: f64,
     /// Distinct terms interned by the run's term store at finish time.
     /// Stamped from the store (not summed per round): hash consing gives
     /// every structurally equal term one id, so this is the size of the
     /// shared id table the snapshots and caches key on.
     pub terms_interned: u64,
-    /// Preprocessing results served from term-id-keyed caches instead of
-    /// being recomputed, summed over every oracle the run built (rebuild
-    /// replays, compaction journal replays, and the parallel backends'
-    /// warm-cache hits on hash-consed re-assertions).
-    pub preprocess_cache_hits: u64,
-    /// Cube-backend lookahead probes answered from the probe-outcome cache
-    /// instead of a scout solve (0 for every other backend); a subset of
-    /// `cube_refuted_by_lookahead`.
-    pub probe_cache_hits: u64,
-    /// Backend re-routes the adaptive policy performed, summed over every
-    /// oracle the run built (0 for the fixed-strategy backends).
-    /// Deterministic for a fixed seed, like `oracle_calls`: the policy
-    /// routes only on the deterministic slice of its observations.
-    pub policy_switches: u64,
-    /// Oracle checks the adaptive policy served per backend slot, in the
-    /// order rebuild, incremental, portfolio, cube (all zero for the
-    /// fixed-strategy backends).  Two-plus non-zero slots mean the
-    /// adaptivity is live.
-    pub policy_backend_checks: [u64; POLICY_BACKENDS],
-    /// Deepest cube split the adaptive policy reached across the run (0
-    /// when cube splitting was never engaged or the backend is
-    /// fixed-strategy).  A max, not a flow.
-    pub cube_depth_max: u32,
+    /// The lifetime [`OracleStats`] of every oracle the run built, summed:
+    /// SAT calls, conflicts, simplex checks and lemmas, encoder `rebuilds`
+    /// (deterministic for a fixed seed and backend), `pool_reuses`,
+    /// `compactions` and `preprocess_cache_hits`.
+    pub oracle: OracleStats,
+    /// Winner/cancelled accounting, when a backend raced workers
+    /// ([`Oracle::portfolio`]).  `workers` is the most any oracle raced,
+    /// clamped to [`pact_solver::MAX_PORTFOLIO_WORKERS`].
+    pub portfolio: Option<PortfolioStats>,
+    /// Cube split/solved/refuted accounting, when a backend split checks
+    /// into cubes ([`Oracle::cube`]).
+    pub cube: Option<CubeStats>,
+    /// Routing accounting, when the adaptive policy ran ([`Oracle::policy`]).
+    /// `cube_depth_max` is the deepest split any oracle reached.
+    pub policy: Option<PolicyStats>,
 }
 
-/// Folds one oracle's portfolio accounting (if any) into the run's stats.
-///
-/// `workers` is clamped to [`MAX_PORTFOLIO_WORKERS`]: a custom backend can
-/// report any number, but `worker_wins` is a fixed-size array and downstream
-/// consumers slice it by this field.
-pub(crate) fn merge_portfolio(stats: &mut CountStats, portfolio: Option<PortfolioStats>) {
-    if let Some(p) = portfolio {
-        let workers = p.workers.min(MAX_PORTFOLIO_WORKERS as u32);
-        stats.portfolio_workers = stats.portfolio_workers.max(workers);
-        for (total, wins) in stats.worker_wins.iter_mut().zip(p.wins) {
-            *total += wins;
-        }
-        stats.cancelled_solves += p.cancelled;
+impl CountStats {
+    /// Folds a finished oracle's lifetime accounting into these stats: its
+    /// [`OracleStats`] (whose `checks` also count as `oracle_calls`) and
+    /// whichever backend-specific blocks it reports.
+    pub(crate) fn absorb(&mut self, oracle: &dyn Oracle) {
+        let stats = oracle.stats();
+        self.oracle_calls += stats.checks;
+        self.oracle += stats;
+        merge(&mut self.portfolio, oracle.portfolio());
+        merge(&mut self.cube, oracle.cube());
+        merge(&mut self.policy, oracle.policy());
     }
 }
 
-/// Folds one oracle's cube accounting (if any) into the run's stats.
-pub(crate) fn merge_cube(stats: &mut CountStats, cube: Option<CubeStats>) {
-    if let Some(c) = cube {
-        stats.cubes_split += c.splits;
-        stats.cubes_solved += c.cubes_solved;
-        stats.cube_refuted_by_lookahead += c.refuted_by_lookahead;
-        stats.probe_cache_hits += c.probe_cache_hits;
+impl std::ops::AddAssign<&CountStats> for CountStats {
+    /// Folds a finished round into the run totals.  `terms_interned` (a
+    /// size, stamped from the finished run's store), `final_hash_count` (the
+    /// last round's, not a sum) and `wall_seconds` (stamped at the end) stay
+    /// with the callers.
+    fn add_assign(&mut self, round: &CountStats) {
+        self.oracle_calls += round.oracle_calls;
+        self.cells_explored += round.cells_explored;
+        self.iterations += round.iterations;
+        self.oracle_seconds += round.oracle_seconds;
+        self.oracle += round.oracle;
+        merge(&mut self.portfolio, round.portfolio);
+        merge(&mut self.cube, round.cube);
+        merge(&mut self.policy, round.policy);
     }
 }
 
-/// Folds one oracle's adaptive-policy accounting (if any) into the run's
-/// stats.
-pub(crate) fn merge_policy(stats: &mut CountStats, policy: Option<PolicyStats>) {
-    if let Some(p) = policy {
-        stats.policy_switches += p.switches;
-        for (total, checks) in stats.policy_backend_checks.iter_mut().zip(p.backend_checks) {
-            *total += checks;
-        }
-        stats.cube_depth_max = stats.cube_depth_max.max(p.cube_depth_max);
+/// `None + Some(x)` is `Some(x)`, merged into a zero value so the
+/// operand's own `+=` rules (maxima, clamps) apply to a first report too.
+fn merge<T: std::ops::AddAssign + Default>(total: &mut Option<T>, part: Option<T>) {
+    if let Some(part) = part {
+        *total.get_or_insert_with(T::default) += part;
     }
-}
-
-/// Folds a finished round's stats into the run totals (the deterministic
-/// fields the merge loops accumulate; `final_hash_count` and outcome
-/// handling stay with the callers).
-pub(crate) fn merge_round_stats(total: &mut CountStats, round: &CountStats) {
-    total.cells_explored += round.cells_explored;
-    total.oracle_calls += round.oracle_calls;
-    total.rebuilds += round.rebuilds;
-    total.oracle_seconds += round.oracle_seconds;
-    total.portfolio_workers = total.portfolio_workers.max(round.portfolio_workers);
-    for (t, w) in total.worker_wins.iter_mut().zip(round.worker_wins) {
-        *t += w;
-    }
-    total.cancelled_solves += round.cancelled_solves;
-    total.cubes_split += round.cubes_split;
-    total.cubes_solved += round.cubes_solved;
-    total.cube_refuted_by_lookahead += round.cube_refuted_by_lookahead;
-    total.pool_reuses += round.pool_reuses;
-    total.compactions += round.compactions;
-    total.preprocess_cache_hits += round.preprocess_cache_hits;
-    total.probe_cache_hits += round.probe_cache_hits;
-    total.policy_switches += round.policy_switches;
-    for (t, c) in total
-        .policy_backend_checks
-        .iter_mut()
-        .zip(round.policy_backend_checks)
-    {
-        *t += c;
-    }
-    // Like `portfolio_workers`, `cube_depth_max` is a high-water mark, not
-    // a flow: rounds report the depth they reached, the run keeps the max.
-    total.cube_depth_max = total.cube_depth_max.max(round.cube_depth_max);
-    // `terms_interned` is deliberately NOT summed: it is a size, not a
-    // flow, and is stamped once from the finished run's term store.
 }
 
 /// The outcome of a counting run.
@@ -194,6 +123,22 @@ impl CountOutcome {
     pub fn is_solved(&self) -> bool {
         !matches!(self, CountOutcome::Timeout)
     }
+
+    /// The `(outcome, estimate, log2_estimate)` triple of the flat JSON
+    /// encodings (bench records and wire results): an exact count `n`
+    /// reports `log2(max(n, 1))`, unsat reports `0` / `0`, and a timeout
+    /// `-1` / `-1` so both columns stay numeric.
+    pub fn record_fields(&self) -> (&'static str, f64, f64) {
+        match *self {
+            CountOutcome::Exact(n) => ("exact", n as f64, (n as f64).max(1.0).log2()),
+            CountOutcome::Approximate {
+                estimate,
+                log2_estimate,
+            } => ("approximate", estimate, log2_estimate),
+            CountOutcome::Unsatisfiable => ("unsat", 0.0, 0.0),
+            CountOutcome::Timeout => ("timeout", -1.0, -1.0),
+        }
+    }
 }
 
 impl fmt::Display for CountOutcome {
@@ -217,25 +162,17 @@ pub struct CountReport {
 }
 
 /// Seals a run's statistics into a report: the rounds ran on their own
-/// oracles and already merged their call and rebuild counts into `stats`;
-/// the base oracle's (the run's initial check) are added on top here, and
-/// the wall clock is stamped.  Shared by the `pact` and CDM engines so a
-/// stat added to [`CountStats`] is threaded through exactly once.
+/// oracles and already merged their accounting into `stats`; the base
+/// oracle's (the run's initial check) is absorbed on top here, and the wall
+/// clock is stamped.  Shared by every engine so a stat added to
+/// [`CountStats`] is threaded through exactly once.
 pub(crate) fn finish_report(
     outcome: CountOutcome,
     mut stats: CountStats,
-    base: &dyn pact_solver::Oracle,
+    base: &dyn Oracle,
     start: std::time::Instant,
 ) -> CountReport {
-    let oracle = base.stats();
-    stats.oracle_calls += oracle.checks;
-    stats.rebuilds += oracle.rebuilds;
-    stats.pool_reuses += oracle.pool_reuses;
-    stats.compactions += oracle.compactions;
-    stats.preprocess_cache_hits += oracle.preprocess_cache_hits;
-    merge_portfolio(&mut stats, base.portfolio());
-    merge_cube(&mut stats, base.cube());
-    merge_policy(&mut stats, base.policy());
+    stats.absorb(base);
     stats.wall_seconds = start.elapsed().as_secs_f64();
     CountReport { outcome, stats }
 }
@@ -271,6 +208,69 @@ pub fn median(values: &[f64]) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn round(workers: u32, cube_depth_max: u32) -> CountStats {
+        CountStats {
+            oracle_calls: 10,
+            cells_explored: 2,
+            iterations: 1,
+            final_hash_count: 4,
+            oracle_seconds: 0.5,
+            wall_seconds: 0.75,
+            terms_interned: 30,
+            oracle: OracleStats {
+                checks: 10,
+                conflicts: 3,
+                ..OracleStats::default()
+            },
+            portfolio: Some(PortfolioStats {
+                workers,
+                wins: [1; pact_solver::MAX_PORTFOLIO_WORKERS],
+                cancelled: 2,
+            }),
+            cube: None,
+            policy: Some(PolicyStats {
+                switches: 1,
+                backend_checks: [1, 2, 3, 4],
+                cube_depth_max,
+            }),
+        }
+    }
+
+    #[test]
+    fn count_stats_add_assign_keeps_maxima_and_fills_absent_blocks() {
+        let mut total = CountStats::default();
+        total += &round(3, 2);
+        total += &round(2, 5);
+        total += &CountStats {
+            cube: Some(CubeStats {
+                splits: 4,
+                ..CubeStats::default()
+            }),
+            ..CountStats::default()
+        };
+        assert_eq!(total.oracle_calls, 20);
+        assert_eq!(total.cells_explored, 4);
+        assert_eq!(total.iterations, 2);
+        assert_eq!(total.oracle_seconds, 1.0);
+        assert_eq!(total.oracle.checks, 20);
+        assert_eq!(total.oracle.conflicts, 6);
+        // The two maxima: portfolio workers and the policy's cube depth.
+        let portfolio = total.portfolio.unwrap();
+        assert_eq!(portfolio.workers, 3);
+        assert_eq!(portfolio.wins, [2; pact_solver::MAX_PORTFOLIO_WORKERS]);
+        assert_eq!(portfolio.cancelled, 4);
+        let policy = total.policy.unwrap();
+        assert_eq!(policy.cube_depth_max, 5);
+        assert_eq!(policy.switches, 2);
+        assert_eq!(policy.backend_checks, [2, 4, 6, 8]);
+        // `None + Some` is the `Some`.
+        assert_eq!(total.cube.unwrap().splits, 4);
+        // Sizes and stamps stay with the callers.
+        assert_eq!(total.terms_interned, 0);
+        assert_eq!(total.final_hash_count, 0);
+        assert_eq!(total.wall_seconds, 0.0);
+    }
 
     #[test]
     fn relative_error_is_symmetric() {

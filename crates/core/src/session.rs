@@ -604,13 +604,13 @@ mod tests {
         let report = session.count().unwrap();
         assert!(matches!(report.outcome, CountOutcome::Approximate { .. }));
         // The whole galloping search ran without a single encoder rebuild.
-        assert_eq!(report.stats.rebuilds, 0);
+        assert_eq!(report.stats.oracle.rebuilds, 0);
         // Toggling back restores the default backend (which does rebuild).
         let rebuild = session
             .count_with(&session.config().clone().with_backend(BackendSpec::Rebuild))
             .unwrap();
         assert_eq!(rebuild.outcome, report.outcome);
-        assert!(rebuild.stats.rebuilds > 0);
+        assert!(rebuild.stats.oracle.rebuilds > 0);
     }
 
     #[test]
@@ -631,8 +631,9 @@ mod tests {
         let report = session.count().unwrap();
         assert!(matches!(report.outcome, CountOutcome::Approximate { .. }));
         // Winner accounting: every check was credited, across 3 workers.
-        assert_eq!(report.stats.portfolio_workers, 3);
-        let total_wins: u64 = report.stats.worker_wins.iter().sum();
+        let portfolio = report.stats.portfolio.unwrap();
+        assert_eq!(portfolio.workers, 3);
+        let total_wins: u64 = portfolio.wins.iter().sum();
         assert_eq!(total_wins, report.stats.oracle_calls);
         // The deterministic slice matches the single-engine backend's.
         let reference = session
@@ -641,8 +642,9 @@ mod tests {
         assert_eq!(reference.outcome, report.outcome);
         assert_eq!(reference.stats.oracle_calls, report.stats.oracle_calls);
         assert_eq!(reference.stats.cells_explored, report.stats.cells_explored);
-        assert_eq!(reference.stats.portfolio_workers, 0);
-        assert_eq!(reference.stats.worker_wins.iter().sum::<u64>(), 0);
+        let reference_portfolio = reference.stats.portfolio.unwrap_or_default();
+        assert_eq!(reference_portfolio.workers, 0);
+        assert_eq!(reference_portfolio.wins.iter().sum::<u64>(), 0);
     }
 
     #[test]
@@ -667,11 +669,12 @@ mod tests {
         assert!(matches!(report.outcome, CountOutcome::Approximate { .. }));
         // Cube accounting reached the merged stats: checks were split, and
         // every refutation-by-lookahead is also a solved cube.
-        assert!(report.stats.cubes_split > 0);
-        assert!(report.stats.cubes_solved >= report.stats.cube_refuted_by_lookahead);
+        let cube = report.stats.cube.unwrap();
+        assert!(cube.splits > 0);
+        assert!(cube.cubes_solved >= cube.refuted_by_lookahead);
         // The backend never rebuilds (scout and workers are all
         // activation-literal engines).
-        assert_eq!(report.stats.rebuilds, 0);
+        assert_eq!(report.stats.oracle.rebuilds, 0);
         // The deterministic slice matches the single-engine backend's.
         let reference = session
             .count_with(&session.config().clone().with_backend(BackendSpec::Rebuild))
@@ -679,8 +682,9 @@ mod tests {
         assert_eq!(reference.outcome, report.outcome);
         assert_eq!(reference.stats.oracle_calls, report.stats.oracle_calls);
         assert_eq!(reference.stats.cells_explored, report.stats.cells_explored);
-        assert_eq!(reference.stats.cubes_split, 0);
-        assert_eq!(reference.stats.cubes_solved, 0);
+        let reference_cube = reference.stats.cube.unwrap_or_default();
+        assert_eq!(reference_cube.splits, 0);
+        assert_eq!(reference_cube.cubes_solved, 0);
     }
 
     #[test]

@@ -48,7 +48,7 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::time::Duration;
 
-use pact::{BackendSpec, CountOutcome, ProgressEvent};
+use pact::{BackendSpec, ProgressEvent};
 use pact_hash::HashFamily;
 use pact_ir::{IrError, TermId, TermManager};
 
@@ -801,15 +801,7 @@ fn request_error(id: u64, message: &str) -> String {
 /// `oracle_calls`, `shard`, `queue_seconds`, `cost_estimate`, …) so bench
 /// artifact consumers parse wire results unchanged.
 pub fn report_to_json(id: u64, kind: &str, report: &ServiceReport) -> String {
-    let (outcome, estimate, log2) = match report.report.outcome {
-        CountOutcome::Exact(n) => ("exact", n as f64, (n as f64).max(1.0).log2()),
-        CountOutcome::Approximate {
-            estimate,
-            log2_estimate,
-        } => ("approximate", estimate, log2_estimate),
-        CountOutcome::Unsatisfiable => ("unsat", 0.0, 0.0),
-        CountOutcome::Timeout => ("timeout", -1.0, -1.0),
-    };
+    let (outcome, estimate, log2) = report.report.outcome.record_fields();
     let stats = &report.report.stats;
     let shard = report.shard.map(|s| s as i64).unwrap_or(-1);
     format!(
@@ -999,6 +991,70 @@ mod tests {
             shards: 1,
             queue_capacity: 8,
         })
+    }
+
+    #[test]
+    fn report_to_json_renders_a_golden_line() {
+        // Every counter non-zero; the bytes are pinned (the wire line
+        // carries the run-level counters only).
+        let stats = pact::CountStats {
+            oracle_calls: 41,
+            cells_explored: 17,
+            iterations: 3,
+            final_hash_count: 5,
+            oracle_seconds: 0.75,
+            wall_seconds: 1.5,
+            terms_interned: 43,
+            oracle: pact::OracleStats {
+                checks: 41,
+                sat_calls: 79,
+                theory_checks: 83,
+                theory_lemmas: 89,
+                rebuilds: 2,
+                conflicts: 97,
+                pool_reuses: 31,
+                compactions: 37,
+                dead_clauses_reclaimed: 101,
+                preprocess_cache_hits: 47,
+            },
+            portfolio: Some(pact::PortfolioStats {
+                workers: 3,
+                wins: [11, 12, 13, 0, 0, 0, 0, 0],
+                cancelled: 7,
+            }),
+            cube: Some(pact::CubeStats {
+                splits: 19,
+                cubes_solved: 23,
+                refuted_by_lookahead: 29,
+                probe_cache_hits: 53,
+            }),
+            policy: Some(pact::PolicyStats {
+                switches: 59,
+                backend_checks: [61, 67, 71, 73],
+                cube_depth_max: 6,
+            }),
+        };
+        let report = ServiceReport {
+            report: pact::CountReport {
+                outcome: pact::CountOutcome::Exact(37),
+                stats,
+            },
+            shard: Some(1),
+            queue_seconds: 0.25,
+            disposition: crate::Disposition::Completed,
+            cost_estimate: 384,
+        };
+        assert_eq!(
+            report_to_json(7, "count", &report),
+            concat!(
+                "{\"schema_version\": 9, \"kind\": \"count\", \"id\": 7, ",
+                "\"disposition\": \"completed\", \"outcome\": \"exact\", \"estimate\": 37, ",
+                "\"log2_estimate\": 5.20945336562895, \"oracle_calls\": 41, ",
+                "\"cells_explored\": 17, \"iterations\": 3, \"terms_interned\": 43, ",
+                "\"shard\": 1, \"queue_seconds\": 0.250000, \"cost_estimate\": 384, ",
+                "\"wall_seconds\": 1.500000}"
+            )
+        );
     }
 
     #[test]

@@ -197,6 +197,35 @@ pub struct OracleStats {
     pub preprocess_cache_hits: u64,
 }
 
+impl std::ops::AddAssign for OracleStats {
+    /// Sums every field.  The destructuring makes a new field a compile
+    /// error here until its merge rule is written down.
+    fn add_assign(&mut self, rhs: OracleStats) {
+        let OracleStats {
+            checks,
+            sat_calls,
+            theory_checks,
+            theory_lemmas,
+            rebuilds,
+            conflicts,
+            pool_reuses,
+            compactions,
+            dead_clauses_reclaimed,
+            preprocess_cache_hits,
+        } = rhs;
+        self.checks += checks;
+        self.sat_calls += sat_calls;
+        self.theory_checks += theory_checks;
+        self.theory_lemmas += theory_lemmas;
+        self.rebuilds += rebuilds;
+        self.conflicts += conflicts;
+        self.pool_reuses += pool_reuses;
+        self.compactions += compactions;
+        self.dead_clauses_reclaimed += dead_clauses_reclaimed;
+        self.preprocess_cache_hits += preprocess_cache_hits;
+    }
+}
+
 /// One assertion on the stack: either a term or a native XOR constraint over
 /// specific bits of discrete variables.
 #[derive(Debug, Clone)]
@@ -478,6 +507,51 @@ impl Context {
 mod tests {
     use super::*;
     use pact_ir::Sort;
+
+    #[test]
+    fn oracle_stats_add_assign_sums_every_field() {
+        let a = OracleStats {
+            checks: 1,
+            sat_calls: 2,
+            theory_checks: 3,
+            theory_lemmas: 4,
+            rebuilds: 5,
+            conflicts: 6,
+            pool_reuses: 7,
+            compactions: 8,
+            dead_clauses_reclaimed: 9,
+            preprocess_cache_hits: 10,
+        };
+        let b = OracleStats {
+            checks: 100,
+            sat_calls: 200,
+            theory_checks: 300,
+            theory_lemmas: 400,
+            rebuilds: 500,
+            conflicts: 600,
+            pool_reuses: 700,
+            compactions: 800,
+            dead_clauses_reclaimed: 900,
+            preprocess_cache_hits: 1000,
+        };
+        let mut sum = a;
+        sum += b;
+        assert_eq!(
+            sum,
+            OracleStats {
+                checks: 101,
+                sat_calls: 202,
+                theory_checks: 303,
+                theory_lemmas: 404,
+                rebuilds: 505,
+                conflicts: 606,
+                pool_reuses: 707,
+                compactions: 808,
+                dead_clauses_reclaimed: 909,
+                preprocess_cache_hits: 1010,
+            }
+        );
+    }
 
     #[test]
     fn pure_bv_sat_and_model() {

@@ -126,6 +126,16 @@ pub struct CubeStats {
     pub probe_cache_hits: u64,
 }
 
+impl std::ops::AddAssign for CubeStats {
+    /// Sums every field.
+    fn add_assign(&mut self, rhs: CubeStats) {
+        self.splits += rhs.splits;
+        self.cubes_solved += rhs.cubes_solved;
+        self.refuted_by_lookahead += rhs.refuted_by_lookahead;
+        self.probe_cache_hits += rhs.probe_cache_hits;
+    }
+}
+
 /// Validates that a cube set partitions the assignment space over its split
 /// bits: pairwise disjoint and exhaustive.
 ///
@@ -722,24 +732,15 @@ impl Oracle for CubeContext {
     }
 
     fn stats(&self) -> OracleStats {
-        // `checks` counts cube-level queries (comparable across backends);
-        // the work fields sum the scout's probes and every worker's
-        // conquests, so nothing a cancelled sibling spent is dropped.
-        let mut stats = OracleStats {
-            checks: self.checks,
-            ..OracleStats::default()
-        };
+        // The work fields sum the scout's probes and every worker's
+        // conquests, so nothing a cancelled sibling spent is dropped;
+        // `checks` counts cube-level queries (comparable across backends)
+        // and `pool_reuses` the pool's batches.
+        let mut stats = OracleStats::default();
         for ctx in std::iter::once(&self.scout).chain(&self.workers) {
-            let ws = ctx.stats();
-            stats.sat_calls += ws.sat_calls;
-            stats.theory_checks += ws.theory_checks;
-            stats.theory_lemmas += ws.theory_lemmas;
-            stats.rebuilds += ws.rebuilds;
-            stats.conflicts += ws.conflicts;
-            stats.compactions += ws.compactions;
-            stats.dead_clauses_reclaimed += ws.dead_clauses_reclaimed;
-            stats.preprocess_cache_hits += ws.preprocess_cache_hits;
+            stats += ctx.stats();
         }
+        stats.checks = self.checks;
         stats.pool_reuses = self.pool.batches();
         stats.preprocess_cache_hits += self.warm_hits;
         stats

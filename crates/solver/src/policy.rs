@@ -127,6 +127,18 @@ pub struct PolicyStats {
     pub cube_depth_max: u32,
 }
 
+impl std::ops::AddAssign for PolicyStats {
+    /// Sums the switches and per-slot checks; `cube_depth_max` is a
+    /// high-water mark, not a flow.
+    fn add_assign(&mut self, rhs: PolicyStats) {
+        self.switches += rhs.switches;
+        for (total, checks) in self.backend_checks.iter_mut().zip(rhs.backend_checks) {
+            *total += checks;
+        }
+        self.cube_depth_max = self.cube_depth_max.max(rhs.cube_depth_max);
+    }
+}
+
 /// One journalled assertion-stack operation, replayed into a backend the
 /// first time the policy engages it.
 #[derive(Clone)]
@@ -520,25 +532,14 @@ impl Oracle for PolicyOracle {
     }
 
     fn stats(&self) -> OracleStats {
-        // `checks` counts policy-level queries 1:1 (comparable across
-        // backends); the work fields sum over every engaged slot, so
-        // nothing a retired route spent is dropped.
-        let mut stats = OracleStats {
-            checks: self.checks,
-            ..OracleStats::default()
-        };
+        // The work fields sum over every engaged slot, so nothing a retired
+        // route spent is dropped; `checks` counts policy-level queries 1:1
+        // (comparable across backends).
+        let mut stats = OracleStats::default();
         for inner in self.slots.iter().flatten() {
-            let ws = inner.as_dyn_ref().stats();
-            stats.sat_calls += ws.sat_calls;
-            stats.theory_checks += ws.theory_checks;
-            stats.theory_lemmas += ws.theory_lemmas;
-            stats.rebuilds += ws.rebuilds;
-            stats.conflicts += ws.conflicts;
-            stats.pool_reuses += ws.pool_reuses;
-            stats.compactions += ws.compactions;
-            stats.dead_clauses_reclaimed += ws.dead_clauses_reclaimed;
-            stats.preprocess_cache_hits += ws.preprocess_cache_hits;
+            stats += inner.as_dyn_ref().stats();
         }
+        stats.checks = self.checks;
         stats
     }
 

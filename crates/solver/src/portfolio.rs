@@ -180,6 +180,23 @@ pub struct PortfolioStats {
     pub cancelled: u64,
 }
 
+impl std::ops::AddAssign for PortfolioStats {
+    /// Sums the wins and cancellations; `workers` is a high-water mark,
+    /// clamped to [`MAX_PORTFOLIO_WORKERS`] because a custom backend can
+    /// report any number while `wins` is a fixed-size array that consumers
+    /// slice by this field.
+    fn add_assign(&mut self, rhs: PortfolioStats) {
+        self.workers = self
+            .workers
+            .max(rhs.workers)
+            .min(MAX_PORTFOLIO_WORKERS as u32);
+        for (total, wins) in self.wins.iter_mut().zip(rhs.wins) {
+            *total += wins;
+        }
+        self.cancelled += rhs.cancelled;
+    }
+}
+
 /// One worker's lifetime summary (see
 /// [`PortfolioContext::worker_reports`]).
 #[derive(Debug, Clone)]
@@ -561,24 +578,15 @@ impl Oracle for PortfolioContext {
     }
 
     fn stats(&self) -> OracleStats {
-        // `checks` counts portfolio-level queries (comparable across
-        // backends); the work fields sum over every worker, so conflicts and
-        // rebuilds spent by cancelled losers stay in the lifetime totals.
-        let mut stats = OracleStats {
-            checks: self.checks,
-            ..OracleStats::default()
-        };
+        // The work fields sum over every worker, so conflicts and rebuilds
+        // spent by cancelled losers stay in the lifetime totals; `checks`
+        // counts portfolio-level queries (comparable across backends) and
+        // `pool_reuses` the pool's batches.
+        let mut stats = OracleStats::default();
         for worker in &self.workers {
-            let ws = worker.stats();
-            stats.sat_calls += ws.sat_calls;
-            stats.theory_checks += ws.theory_checks;
-            stats.theory_lemmas += ws.theory_lemmas;
-            stats.rebuilds += ws.rebuilds;
-            stats.conflicts += ws.conflicts;
-            stats.compactions += ws.compactions;
-            stats.dead_clauses_reclaimed += ws.dead_clauses_reclaimed;
-            stats.preprocess_cache_hits += ws.preprocess_cache_hits;
+            stats += worker.stats();
         }
+        stats.checks = self.checks;
         stats.pool_reuses = self.pool.batches();
         stats.preprocess_cache_hits += self.warm_hits;
         stats

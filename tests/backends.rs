@@ -9,6 +9,9 @@
 //! the incremental backend reports `rebuilds == 0` where the reference
 //! backend pays one rebuild per `pop` that crosses encoded assertions.
 
+mod common;
+
+use common::deterministic_parts;
 use pact::{BackendSpec, CountOutcome, CountReport, CounterConfig, HashFamily, Session};
 use pact_ir::{Rational, Sort, TermId, TermManager};
 
@@ -19,18 +22,6 @@ fn spec(incremental: bool) -> BackendSpec {
     } else {
         BackendSpec::Rebuild
     }
-}
-
-/// The deterministic slice of a report: everything except wall-clock times
-/// and the backend-specific rebuild count.
-fn deterministic_parts(report: &CountReport) -> (CountOutcome, u64, u64, u32, u32) {
-    (
-        report.outcome.clone(),
-        report.stats.oracle_calls,
-        report.stats.cells_explored,
-        report.stats.iterations,
-        report.stats.final_hash_count,
-    )
 }
 
 /// x ≥ 16 over `width` bits: saturates the threshold so the galloping
@@ -73,7 +64,7 @@ fn backends_are_bit_identical_across_seeds_and_families() {
                 "family {family}, seed {seed}"
             );
             assert_eq!(
-                incremental.stats.rebuilds, 0,
+                incremental.stats.oracle.rebuilds, 0,
                 "family {family}, seed {seed}"
             );
         }
@@ -103,40 +94,42 @@ fn backends_are_bit_identical_with_two_threads() {
             "incremental = {incremental}"
         );
         if incremental {
-            assert_eq!(parallel.stats.rebuilds, 0);
+            assert_eq!(parallel.stats.oracle.rebuilds, 0);
         }
     }
 }
 
+/// Counts the quickstart's hybrid instance (8-bit b ≥ 32 with a live real
+/// constraint 0 < r < 1) under `backend`.
+fn hybrid_count(backend: BackendSpec) -> CountReport {
+    let mut tm = TermManager::new();
+    let b = tm.mk_var("b", Sort::BitVec(8));
+    let r = tm.mk_var("r", Sort::Real);
+    let c = tm.mk_bv_const(32, 8);
+    let f1 = tm.mk_bv_ule(c, b).unwrap();
+    let zero = tm.mk_real_const(Rational::ZERO);
+    let one = tm.mk_real_const(Rational::ONE);
+    let f2 = tm.mk_real_lt(zero, r).unwrap();
+    let f3 = tm.mk_real_lt(r, one).unwrap();
+    let mut session = Session::builder(tm)
+        .assert_all(&[f1, f2, f3])
+        .project(b)
+        .seed(1)
+        .iterations(5)
+        .backend(backend)
+        .build()
+        .unwrap();
+    session.count().unwrap()
+}
+
 #[test]
 fn incremental_backend_survives_a_quickstart_scale_count_without_rebuilds() {
-    // The quickstart's hybrid instance (8-bit b ≥ 32 with a live real
-    // constraint): the incremental backend must carry a full multi-round
-    // count with zero rebuilds while reproducing the reference report
-    // bit-for-bit — the acceptance criterion of the incremental-encoder
-    // milestone.
-    let build = |incremental: bool| {
-        let mut tm = TermManager::new();
-        let b = tm.mk_var("b", Sort::BitVec(8));
-        let r = tm.mk_var("r", Sort::Real);
-        let c = tm.mk_bv_const(32, 8);
-        let f1 = tm.mk_bv_ule(c, b).unwrap();
-        let zero = tm.mk_real_const(Rational::ZERO);
-        let one = tm.mk_real_const(Rational::ONE);
-        let f2 = tm.mk_real_lt(zero, r).unwrap();
-        let f3 = tm.mk_real_lt(r, one).unwrap();
-        let mut session = Session::builder(tm)
-            .assert_all(&[f1, f2, f3])
-            .project(b)
-            .seed(1)
-            .iterations(5)
-            .backend(spec(incremental))
-            .build()
-            .unwrap();
-        session.count().unwrap()
-    };
-    let rebuild = build(false);
-    let incremental = build(true);
+    // The incremental backend must carry a full multi-round count of the
+    // hybrid instance with zero rebuilds while reproducing the reference
+    // report bit-for-bit — the acceptance criterion of the
+    // incremental-encoder milestone.
+    let rebuild = hybrid_count(spec(false));
+    let incremental = hybrid_count(spec(true));
     assert!(matches!(
         incremental.outcome,
         CountOutcome::Approximate { .. }
@@ -145,11 +138,33 @@ fn incremental_backend_survives_a_quickstart_scale_count_without_rebuilds() {
         deterministic_parts(&incremental),
         deterministic_parts(&rebuild)
     );
-    assert_eq!(incremental.stats.rebuilds, 0);
+    assert_eq!(incremental.stats.oracle.rebuilds, 0);
     // The galloping search really did pop frames: the reference backend paid
     // a rebuild for each of them.
-    assert!(rebuild.stats.rebuilds > 0);
+    assert!(rebuild.stats.oracle.rebuilds > 0);
     assert!(incremental.stats.oracle_seconds >= 0.0);
+}
+
+#[test]
+fn every_backend_reports_its_oracle_work_on_a_hybrid_count() {
+    // The SAT and simplex work counters reach the report under every
+    // backend: one front-end `check` per oracle call, at least one SAT
+    // call each, and simplex checks for the live real constraint.
+    for backend in [
+        BackendSpec::Rebuild,
+        BackendSpec::Incremental,
+        BackendSpec::Portfolio { workers: 2 },
+        BackendSpec::Cube {
+            depth: 2,
+            workers: 2,
+        },
+        BackendSpec::Adaptive,
+    ] {
+        let stats = hybrid_count(backend).stats;
+        assert_eq!(stats.oracle.checks, stats.oracle_calls, "{backend:?}");
+        assert!(stats.oracle.sat_calls >= stats.oracle_calls, "{backend:?}");
+        assert!(stats.oracle.theory_checks > 0, "{backend:?}");
+    }
 }
 
 #[test]
@@ -173,8 +188,8 @@ fn cdm_and_enumeration_agree_across_backends() {
     assert_eq!(exact_i.outcome, CountOutcome::Exact(240));
     assert_eq!(deterministic_parts(&exact_i), deterministic_parts(&exact_r));
     assert_eq!(deterministic_parts(&cdm_i), deterministic_parts(&cdm_r));
-    assert_eq!(exact_i.stats.rebuilds, 0);
-    assert_eq!(cdm_i.stats.rebuilds, 0);
+    assert_eq!(exact_i.stats.oracle.rebuilds, 0);
+    assert_eq!(cdm_i.stats.oracle.rebuilds, 0);
 }
 
 #[test]

@@ -22,6 +22,9 @@
 //!    oracle joined it when it landed), so adding another backend to
 //!    [`factories`] extends the whole harness for free.
 
+mod common;
+
+use common::deterministic_parts;
 use pact::{BackendSpec, CountOutcome, CountReport, Oracle, OracleFactory, Session};
 use pact_benchgen::{generate_for_logic, GenParams, Instance};
 use pact_ir::logic::Logic;
@@ -50,18 +53,6 @@ fn factories() -> Vec<(&'static str, OracleFactory)> {
         ),
         ("adaptive", OracleFactory::from_spec(BackendSpec::Adaptive)),
     ]
-}
-
-/// The deterministic slice of a report: everything except wall-clock times
-/// and the backend-specific work profile (rebuilds, worker wins).
-fn deterministic_parts(report: &CountReport) -> (CountOutcome, u64, u64, u32, u32) {
-    (
-        report.outcome.clone(),
-        report.stats.oracle_calls,
-        report.stats.cells_explored,
-        report.stats.iterations,
-        report.stats.final_hash_count,
-    )
 }
 
 fn count_report(
@@ -344,11 +335,11 @@ fn aggressive_compaction_preserves_bit_identical_reports() {
             instance.name
         );
         assert_eq!(
-            compacted.stats.rebuilds, 0,
+            compacted.stats.oracle.rebuilds, 0,
             "{}: a compaction was miscounted as a rebuild",
             instance.name
         );
-        total_compactions += compacted.stats.compactions;
+        total_compactions += compacted.stats.oracle.compactions;
     }
     // The threshold-1 runs must actually have exercised the machinery
     // somewhere in the sweep, or the equality above proves nothing.
@@ -415,7 +406,7 @@ fn interning_stress_is_bit_identical_and_serves_preprocessing_from_cache() {
             "{name}: interning-stress report diverged"
         );
         assert!(
-            report.stats.preprocess_cache_hits > 0,
+            report.stats.oracle.preprocess_cache_hits > 0,
             "{name}: expected preprocessing cache hits, got 0"
         );
         // terms_interned stamps the final store size: at least the formula

@@ -108,12 +108,13 @@ fn loser_conflicts_and_rebuilds_reach_the_count_stats() {
         .unwrap();
     let report = session.count().unwrap();
     assert!(matches!(report.outcome, CountOutcome::Approximate { .. }));
-    assert_eq!(report.stats.portfolio_workers, 4);
+    let portfolio = report.stats.portfolio.unwrap();
+    assert_eq!(portfolio.workers, 4);
     // Slots 1 and 3 of the worker table are rebuild-style: the galloping
     // search popped frames in every round, so rebuilds must be non-zero
     // even though those workers won only some (possibly zero) races.
     assert!(
-        report.stats.rebuilds > 0,
+        report.stats.oracle.rebuilds > 0,
         "losers' rebuilds were dropped from the totals"
     );
     // The `cancelled` side of the winner/cancelled accounting obeys its
@@ -121,12 +122,12 @@ fn loser_conflicts_and_rebuilds_reach_the_count_stats() {
     // (A strict `> 0` would be timing-dependent — on enough idle cores
     // every loser of an easy race can finish decisively before observing
     // the stop flag — so only the bound is portable.)
-    assert!(report.stats.cancelled_solves <= 3 * report.stats.oracle_calls);
+    assert!(portfolio.cancelled <= 3 * report.stats.oracle_calls);
     // Every check was credited to exactly one winner.
-    let wins: u64 = report.stats.worker_wins.iter().sum();
+    let wins: u64 = portfolio.wins.iter().sum();
     assert_eq!(wins, report.stats.oracle_calls);
     // Diversification is live: at least two distinct worker configurations
     // won races over the run.
-    let winners = report.stats.worker_wins.iter().filter(|&&w| w > 0).count();
-    assert!(winners >= 2, "wins = {:?}", report.stats.worker_wins);
+    let winners = portfolio.wins.iter().filter(|&&w| w > 0).count();
+    assert!(winners >= 2, "wins = {:?}", portfolio.wins);
 }

@@ -380,7 +380,7 @@ fn adaptive_backend_rides_the_service_and_reports_policy_stats() {
     ));
     let stats = &report.report.stats;
     assert_eq!(
-        stats.policy_backend_checks.iter().sum::<u64>(),
+        stats.policy.unwrap().backend_checks.iter().sum::<u64>(),
         stats.oracle_calls,
         "every oracle call lands in exactly one policy slot: {stats:?}"
     );

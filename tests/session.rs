@@ -16,9 +16,11 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+mod common;
+
+use common::deterministic_parts;
 use pact::{
-    BackendSpec, CountError, CountOutcome, CountReport, CounterConfig, OracleFactory,
-    ProgressEvent, Session,
+    BackendSpec, CountError, CountOutcome, CounterConfig, OracleFactory, ProgressEvent, Session,
 };
 use pact_ir::{BvValue, Sort, TermId, TermManager, Value};
 use pact_solver::{Context, Oracle, OracleStats, SolverConfig, SolverResult};
@@ -123,17 +125,6 @@ fn base_config() -> CounterConfig {
         seed: 42,
         ..CounterConfig::default()
     }
-}
-
-/// The deterministic slice of a report (everything but wall-clock time).
-fn deterministic_parts(report: &CountReport) -> (CountOutcome, u64, u64, u32, u32) {
-    (
-        report.outcome.clone(),
-        report.stats.oracle_calls,
-        report.stats.cells_explored,
-        report.stats.iterations,
-        report.stats.final_hash_count,
-    )
 }
 
 #[test]
