@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use pact_hash::{generate, projection_bits, HashConstraint, HashFamily};
-use pact_ir::{TermId, TermManager};
+use pact_ir::{BvValue, TermId, TermManager};
 use pact_solver::Oracle;
 
 use crate::config::CounterConfig;
@@ -123,7 +123,7 @@ pub(crate) fn count_pact(
     // Line 3-4: if the whole projected space is already small, the count is exact.
     let oracle_timer = Instant::now();
     ctx.push();
-    let base = saturating_count_ctl(&mut *ctx, tm, projection, constants.thresh, &ctrl)?;
+    let (base, _) = saturating_count_ctl(&mut *ctx, tm, projection, constants.thresh, None, &ctrl)?;
     ctx.pop();
     stats.oracle_seconds += oracle_timer.elapsed().as_secs_f64();
     stats.cells_explored += 1;
@@ -158,13 +158,15 @@ pub(crate) fn count_pact(
     // oracle (through the factory, on the worker's own thread) and derives
     // an RNG stream from `seed ^ round`, so the scheduler can fan them out
     // across threads without changing the result (see `parallel.rs` for the
-    // determinism argument).
+    // determinism argument).  Round 0 runs alone first: its boundary is where
+    // every later round's search starts (the leapfrog), and it is the same
+    // for every thread count because round 0 is.
     let workers = config.parallel.effective_threads();
     let tm_snapshot = tm.snapshot();
     let thresh = constants.thresh;
     let ell = constants.ell;
     let ctrl_ref = &ctrl;
-    let outputs = run_rounds(workers, iterations, |round| {
+    let run_round = |round: u32, start: Option<usize>| {
         if ctrl_ref.interrupted() {
             return RoundOutput {
                 value: Ok(RoundRecord::interrupted()),
@@ -194,12 +196,13 @@ pub(crate) fn count_pact(
             total_bits,
             ctrl_ref,
             round,
+            start,
             &mut rng,
             &mut round_stats,
         );
         round_stats.absorb(&*round_ctx);
         match result {
-            Ok(outcome) => {
+            Ok((outcome, boundary)) => {
                 ctrl_ref.emit(ProgressEvent::Round {
                     round,
                     estimate: match &outcome {
@@ -212,6 +215,7 @@ pub(crate) fn count_pact(
                     value: Ok(RoundRecord {
                         outcome,
                         stats: round_stats,
+                        boundary: boundary.map(|b| b.hashes),
                     }),
                     stop,
                 }
@@ -221,7 +225,15 @@ pub(crate) fn count_pact(
                 stop: true,
             },
         }
-    });
+    };
+    let first = run_round(0, None);
+    let b0 = first.value.as_ref().ok().and_then(|record| record.boundary);
+    let mut outputs = vec![Some(first.value)];
+    if !first.stop {
+        outputs.extend(run_rounds(workers, iterations - 1, |round| {
+            run_round(round + 1, b0)
+        }));
+    }
 
     // Merge in round order; the first stopping round ends the sequence, and
     // a partially counted (timed-out) round still contributes its stats.
@@ -259,6 +271,8 @@ pub(crate) fn count_pact(
 struct RoundRecord {
     outcome: RoundOutcome,
     stats: CountStats,
+    /// The round's boundary (hashes before FixLastHash), if it found one.
+    boundary: Option<usize>,
 }
 
 impl RoundRecord {
@@ -268,20 +282,52 @@ impl RoundRecord {
         RoundRecord {
             outcome: RoundOutcome::Timeout,
             stats: CountStats::default(),
+            boundary: None,
         }
     }
 }
 
+#[derive(Debug, PartialEq)]
 enum RoundOutcome {
     Estimate(f64),
     Failed,
     Timeout,
 }
 
+/// A projected model, one value per projection variable.
+type Model = Vec<BvValue>;
+
+/// A round's boundary: the smallest number of hashes whose cell is small.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Boundary {
+    hashes: usize,
+    cell: u64,
+}
+
+/// Draws a round's hash list: enough hashes to cut the projected space down
+/// to (expected) single solutions, plus one.
+fn draw_hashes(
+    tm: &mut TermManager,
+    projection: &[TermId],
+    ell: u32,
+    family: HashFamily,
+    total_bits: u32,
+    rng: &mut StdRng,
+) -> Vec<HashConstraint> {
+    // How many cells a single hash of this family splits into.
+    let probe_range = generate(tm, projection, ell, family, rng).range();
+    let bits_per_hash = (probe_range as f64).log2();
+    let max_hashes = ((total_bits as f64 / bits_per_hash).ceil() as usize + 1).max(1);
+    (0..max_hashes)
+        .map(|_| generate(tm, projection, ell, family, rng))
+        .collect()
+}
+
 /// One iteration of the main loop (lines 6-14 of Algorithm 1): generate a
 /// fresh list of hash functions, find the boundary cell with a galloping
-/// search, refine the last hash for word-level families, and turn the cell
-/// size into an estimate.
+/// search (leapfrogging from `start`, round 0's boundary, when given), refine
+/// the last hash for word-level families, and turn the cell size into an
+/// estimate.  Returns the outcome and the boundary before FixLastHash.
 #[allow(clippy::too_many_arguments)]
 fn one_round(
     tm: &mut TermManager,
@@ -293,32 +339,28 @@ fn one_round(
     total_bits: u32,
     ctrl: &RunControl,
     round: u32,
+    start: Option<usize>,
     rng: &mut StdRng,
     stats: &mut CountStats,
-) -> CountResult<RoundOutcome> {
-    // How many cells a single hash of this family splits into.
-    let probe_range = generate(tm, projection, ell, config.family, rng).range();
-    let bits_per_hash = (probe_range as f64).log2();
-    let max_hashes = ((total_bits as f64 / bits_per_hash).ceil() as usize + 1).max(1);
-    let hashes: Vec<HashConstraint> = (0..max_hashes)
-        .map(|_| generate(tm, projection, ell, config.family, rng))
-        .collect();
+) -> CountResult<(RoundOutcome, Option<Boundary>)> {
+    let hashes = draw_hashes(tm, projection, ell, config.family, total_bits, rng);
 
-    // Measure |Sol(F ∧ H[0..i])↓S| with the saturating counter.
-    let measure = |ctx: &mut dyn Oracle,
-                   tm: &mut TermManager,
-                   constraints: &[HashConstraint],
-                   stats: &mut CountStats|
-     -> CountResult<CellCount> {
+    // Measure |Sol(F ∧ constraints)↓S| with the saturating counter (see
+    // `saturating_count_ctl` for `reuse`).
+    let mut measure = |ctx: &mut dyn Oracle,
+                       tm: &mut TermManager,
+                       constraints: &[HashConstraint],
+                       reuse: Option<&[Model]>|
+     -> CountResult<(CellCount, Vec<Model>)> {
         if ctrl.interrupted() {
-            return Ok(CellCount::Unknown);
+            return Ok((CellCount::Unknown, Vec::new()));
         }
         let oracle_timer = Instant::now();
         ctx.push();
         for h in constraints {
             h.assert_into(ctx, tm);
         }
-        let result = saturating_count_ctl(ctx, tm, projection, thresh, ctrl);
+        let result = saturating_count_ctl(ctx, tm, projection, thresh, reuse, ctrl);
         ctx.pop();
         stats.oracle_seconds += oracle_timer.elapsed().as_secs_f64();
         stats.cells_explored += 1;
@@ -329,55 +371,24 @@ fn one_round(
         Ok(result?)
     };
 
-    // Galloping (exponential + binary) search for the boundary index i such
-    // that the cell under i hashes is small while the cell under i-1 hashes
-    // is saturated.  C[0] is known to be saturated by the caller.
-    let mut known_saturated = 0usize; // largest index known to be saturated
-    let mut known_small: Option<(usize, u64)> = None; // smallest index known small
-    let mut probe = 1usize;
-    loop {
-        if probe > max_hashes {
-            break;
-        }
-        match measure(ctx, tm, &hashes[..probe], stats)? {
-            CellCount::Saturated => {
-                known_saturated = known_saturated.max(probe);
-                probe = (probe * 2).min(max_hashes);
-                if known_saturated == max_hashes {
-                    break;
-                }
-            }
-            CellCount::Exact(n) => {
-                known_small = Some((probe, n));
-                break;
-            }
-            CellCount::Unknown => return Ok(RoundOutcome::Timeout),
-        }
-    }
-    let (mut hi, mut hi_count) = match known_small {
-        Some(x) => x,
-        None => return Ok(RoundOutcome::Failed), // even max_hashes leaves a big cell
+    let found = match search_boundary(hashes.len(), start, |len, known| {
+        measure(ctx, tm, &hashes[..len], Some(known))
+    })? {
+        Search::Found(hashes, models) => Boundary {
+            hashes,
+            cell: models.len() as u64,
+        },
+        Search::Failed => return Ok((RoundOutcome::Failed, None)),
+        Search::Timeout => return Ok((RoundOutcome::Timeout, None)),
     };
-    let mut lo = known_saturated;
-    // Binary search in (lo, hi) to tighten the boundary: invariant lo is
-    // saturated, hi is small.
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
-        match measure(ctx, tm, &hashes[..mid], stats)? {
-            CellCount::Saturated => lo = mid,
-            CellCount::Exact(n) => {
-                hi = mid;
-                hi_count = n;
-            }
-            CellCount::Unknown => return Ok(RoundOutcome::Timeout),
-        }
-    }
-    let boundary = hi;
+    let boundary = found.hashes;
     stats.final_hash_count = boundary as u32;
 
     // Algorithm 2 (FixLastHash): only meaningful for word-level families.
+    // A refined last hash is not nested with the boundary cell, so no
+    // models are reused here.
     let mut used: Vec<HashConstraint> = hashes[..boundary].to_vec();
-    let mut cell = hi_count;
+    let mut cell = found.cell;
     if config.family != HashFamily::Xor {
         let mut current_ell = ell;
         while current_ell > 1 {
@@ -385,27 +396,131 @@ fn one_round(
             let refined = generate(tm, projection, current_ell, config.family, rng);
             let mut candidate: Vec<HashConstraint> = hashes[..boundary - 1].to_vec();
             candidate.push(refined.clone());
-            match measure(ctx, tm, &candidate, stats)? {
+            match measure(ctx, tm, &candidate, None)?.0 {
                 CellCount::Exact(n) => {
                     used = candidate;
                     cell = n;
                 }
                 CellCount::Saturated => break,
-                CellCount::Unknown => return Ok(RoundOutcome::Timeout),
+                CellCount::Unknown => return Ok((RoundOutcome::Timeout, Some(found))),
             }
         }
     }
 
     if cell == 0 {
         // An empty boundary cell carries no information; the round fails.
-        return Ok(RoundOutcome::Failed);
+        return Ok((RoundOutcome::Failed, Some(found)));
     }
     // GetCount: cell size times the number of cells the used hashes create.
     let mut partitions = 1.0f64;
     for h in &used {
         partitions *= h.range() as f64;
     }
-    Ok(RoundOutcome::Estimate(cell as f64 * partitions))
+    Ok((
+        RoundOutcome::Estimate(cell as f64 * partitions),
+        Some(found),
+    ))
+}
+
+/// What a boundary search concluded.
+enum Search {
+    /// The boundary prefix length and its cell's models.
+    Found(usize, Vec<Model>),
+    /// Even the full hash list leaves a big cell.
+    Failed,
+    /// The deadline passed, the run was cancelled or the oracle gave up.
+    Timeout,
+}
+
+/// The bracket a boundary search narrows: `lo` is the largest prefix length
+/// known to be saturated (prefix 0 is, by the base check), `hi` the smallest
+/// known to be small, with its cell's models.
+struct Bracket<F> {
+    measure: F,
+    lo: usize,
+    hi: Option<(usize, Vec<Model>)>,
+}
+
+impl<F> Bracket<F>
+where
+    F: FnMut(usize, &[Model]) -> CountResult<(CellCount, Vec<Model>)>,
+{
+    /// Measures prefix `len` and narrows the bracket; `false` on a timeout.
+    ///
+    /// The search only ever measures below `hi`, and the cells are nested
+    /// (`Sol(F ∧ H[0..j]) ⊇ Sol(F ∧ H[0..k])` for `j < k`), so every model of
+    /// `hi`'s cell lies in the measured one and seeds its count.
+    fn probe(&mut self, len: usize) -> CountResult<bool> {
+        let known = match &self.hi {
+            Some((k, models)) => {
+                debug_assert!(len < *k, "probe {len} above the known-small prefix {k}");
+                models.as_slice()
+            }
+            None => &[],
+        };
+        match (self.measure)(len, known)? {
+            (CellCount::Saturated, _) => self.lo = self.lo.max(len),
+            (CellCount::Exact(_), models) => self.hi = Some((len, models)),
+            (CellCount::Unknown, _) => return Ok(false),
+        }
+        Ok(true)
+    }
+}
+
+/// Finds the boundary among prefixes `1..=max_hashes` of a round's hash list
+/// with `measure(len, known)`: the smallest prefix length whose cell is small.
+///
+/// With no `start`, it gallops from 1 (`1, 2, 4, …`) to the first small
+/// prefix, then binary-searches below it.  With a `start` (round 0's
+/// boundary), it measures `start` first: when that cell is small it measures
+/// `start − 1`, and the boundary is `start` when that one saturates;
+/// otherwise it gallops upward from `start` (`+1, +2, +4, …`) or
+/// binary-searches below `start − 1`.  Saturation is monotone in the prefix
+/// length, so the boundary, and hence the estimate, does not depend on the
+/// start; only the number of cells measured does.
+fn search_boundary<F>(max_hashes: usize, start: Option<usize>, measure: F) -> CountResult<Search>
+where
+    F: FnMut(usize, &[Model]) -> CountResult<(CellCount, Vec<Model>)>,
+{
+    let mut bracket = Bracket {
+        measure,
+        lo: 0,
+        hi: None,
+    };
+    let mut gallop_from = 0;
+    if let Some(b0) = start.map(|b| b.clamp(1, max_hashes)) {
+        if !bracket.probe(b0)? {
+            return Ok(Search::Timeout);
+        }
+        if bracket.hi.is_some() {
+            if b0 > 1 && !bracket.probe(b0 - 1)? {
+                return Ok(Search::Timeout);
+            }
+        } else {
+            gallop_from = b0;
+        }
+    }
+    let mut step = 1;
+    while bracket.hi.is_none() && bracket.lo < max_hashes {
+        if !bracket.probe((gallop_from + step).min(max_hashes))? {
+            return Ok(Search::Timeout);
+        }
+        step *= 2;
+    }
+    // Binary search in (lo, hi): lo is saturated, hi is small.
+    while let Some((hi, _)) = &bracket.hi {
+        if hi - bracket.lo <= 1 {
+            break;
+        }
+        let mid = bracket.lo + (hi - bracket.lo) / 2;
+        if !bracket.probe(mid)? {
+            return Ok(Search::Timeout);
+        }
+    }
+    Ok(match bracket.hi {
+        Some((hi, models)) => Search::Found(hi, models),
+        None => Search::Failed,
+    })
 }
 
 #[cfg(test)]
@@ -625,5 +740,119 @@ mod tests {
                 reports[0].stats.final_hash_count
             );
         }
+    }
+
+    /// Runs round `round` of a count of `formula` over `x` with the boundary
+    /// search starting at `start`; returns the round's outcome, its boundary
+    /// and the number of cells it measured.
+    fn round_from(
+        tm: &TermManager,
+        formula: TermId,
+        x: TermId,
+        config: &CounterConfig,
+        round: u32,
+        start: Option<usize>,
+    ) -> (RoundOutcome, Option<Boundary>, u64) {
+        let constants = get_constants(config.epsilon, config.delta, config.family);
+        let mut tm = tm.clone();
+        let total_bits = projection_bits(&tm, &[x]);
+        let mut ctx = config.oracle_factory.build(config.solver);
+        ctx.track_var(x);
+        ctx.assert_term(formula);
+        let mut rng = StdRng::seed_from_u64(config.seed ^ u64::from(round));
+        let mut stats = CountStats::default();
+        let (outcome, boundary) = one_round(
+            &mut tm,
+            &mut *ctx,
+            &[x],
+            config,
+            constants.thresh,
+            constants.ell,
+            total_bits,
+            &RunControl::default(),
+            round,
+            start,
+            &mut rng,
+            &mut stats,
+        )
+        .unwrap();
+        (outcome, boundary, stats.cells_explored)
+    }
+
+    /// Every start in `{None, 1..=max_hashes}` finds the same boundary, the
+    /// same boundary cell and the same estimate, in each of `rounds`.
+    fn assert_start_independent(
+        tm: &TermManager,
+        x: TermId,
+        f: TermId,
+        config: CounterConfig,
+        rounds: u32,
+    ) {
+        let family = config.family;
+        let constants = get_constants(config.epsilon, config.delta, family);
+        let total_bits = projection_bits(tm, &[x]);
+        let mut saw_deep_boundary = false;
+        for round in 0..rounds {
+            let mut rng = StdRng::seed_from_u64(config.seed ^ u64::from(round));
+            let max_hashes = draw_hashes(
+                &mut tm.clone(),
+                &[x],
+                constants.ell,
+                family,
+                total_bits,
+                &mut rng,
+            )
+            .len();
+            let (outcome, boundary, cells) = round_from(tm, f, x, &config, round, None);
+            let boundary = boundary.expect("the instance saturates, so a boundary exists");
+            assert!(matches!(outcome, RoundOutcome::Estimate(_)));
+            saw_deep_boundary |= boundary.hashes >= 2 && boundary.hashes < max_hashes;
+            for start in 1..=max_hashes {
+                let (o, b, c) = round_from(tm, f, x, &config, round, Some(start));
+                assert_eq!(b, Some(boundary), "{family}, round {round}, start {start}");
+                assert_eq!(o, outcome, "{family}, round {round}, start {start}");
+                if start == boundary.hashes {
+                    // A leapfrog hit never measures more cells than galloping;
+                    // under XOR (no FixLastHash) it measures exactly the
+                    // start and, above 1, the prefix below it.
+                    assert!(c <= cells, "{family}, round {round}: {c} > {cells} cells");
+                    if family == HashFamily::Xor {
+                        assert_eq!(c, start.min(2) as u64, "round {round}, start {start}");
+                    }
+                }
+            }
+        }
+        assert!(
+            saw_deep_boundary,
+            "{family}: no round had a boundary in 2..max_hashes"
+        );
+    }
+
+    #[test]
+    fn boundary_does_not_depend_on_the_search_start_under_xor() {
+        // 10-bit x < 700: boundary near 4 of 11 XOR hashes.
+        let mut tm = TermManager::new();
+        let (x, f) = interval_instance(&mut tm, 10, 700);
+        let config = CounterConfig {
+            seed: 17,
+            ..CounterConfig::default()
+        };
+        assert_start_independent(&tm, x, f, config, 3);
+    }
+
+    #[test]
+    fn boundary_does_not_depend_on_the_search_start_under_prime() {
+        // 10-bit x < 1000 with ε = 3 (thresh 32): boundary 2 of 4 prime
+        // hashes.  The looser ε keeps the cells small; one round keeps the
+        // test short, as cells deep under prime hashes are slow to refute.
+        let mut tm = TermManager::new();
+        let (x, f) = interval_instance(&mut tm, 10, 1000);
+        let config = CounterConfig {
+            epsilon: 3.0,
+            family: HashFamily::Prime,
+            seed: 17,
+            ..CounterConfig::default()
+        };
+        assert_start_independent(&tm, x, f, config, 1);
     }
 }

@@ -98,7 +98,7 @@ pub(crate) fn count_enumerate(
     }
     let mut stats = CountStats::default();
     let oracle_timer = Instant::now();
-    let result = saturating_count_ctl(&mut *ctx, tm, projection, limit, &ctrl)?;
+    let (result, _) = saturating_count_ctl(&mut *ctx, tm, projection, limit, None, &ctrl)?;
     stats.oracle_seconds = oracle_timer.elapsed().as_secs_f64();
     stats.cells_explored = 1;
     stats.terms_interned = tm.len() as u64;

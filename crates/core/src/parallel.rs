@@ -6,10 +6,13 @@
 //! the same guarantees:
 //!
 //! * **Determinism.**  A round is a pure function of `(formula snapshot,
-//!   configuration, round index)`: every round opens its own term manager
-//!   over one shared [`TermSnapshot`](pact_ir::TermSnapshot) of the interned
-//!   id table, builds a fresh oracle, and seeds an RNG from `seed ^ round`.
-//!   The merged result is therefore bit-identical for every thread count —
+//!   configuration, round index)` and of whatever the caller hands it from
+//!   rounds that finished before the fan-out — `pact_count` runs round 0
+//!   alone and passes its boundary to rounds 1.. as their search start.
+//!   Every round opens its own term manager over one shared
+//!   [`TermSnapshot`](pact_ir::TermSnapshot) of the interned id table,
+//!   builds a fresh oracle, and seeds an RNG from `seed ^ round`.  The
+//!   merged result is therefore bit-identical for every thread count —
 //!   workers only change *which thread* computes a round, never *what* it
 //!   computes.
 //! * **Sequential-equivalent early exit.**  When a round reports a stop

@@ -1,8 +1,5 @@
 //! `SaturatingCounter` (§III-B): bounded projected-model enumeration.
 
-use std::collections::HashMap;
-use std::time::Instant;
-
 use pact_ir::{BvValue, TermId, TermManager};
 use pact_solver::{Oracle, Result, SolverResult};
 
@@ -36,7 +33,10 @@ impl CellCount {
 }
 
 /// Enumerates projected models of the formula currently asserted in `ctx`
-/// until `thresh` models are found (saturation) or the cell is exhausted.
+/// until `thresh` models are found (saturation) or the cell is exhausted,
+/// checking the deadline *and* the cancellation token of `ctrl` before every
+/// oracle call and emitting a [`ProgressEvent::Model`] for every projected
+/// model it finds.
 ///
 /// Every discovered projected model is blocked by asserting the negation of
 /// `S = model`, so the enumeration counts *distinct projected* assignments,
@@ -44,39 +44,19 @@ impl CellCount {
 /// frame; callers wrap the call in `push`/`pop` when the formula must be
 /// reused afterwards.
 ///
-/// `deadline` is the absolute instant after which the enumeration gives up
-/// with [`CellCount::Unknown`].
+/// `reuse` is for callers that measure nested cells.  With `Some(known)`,
+/// `known` are projected models the caller already knows to lie in the cell
+/// (the models of a nested, exactly measured cell): they are blocked up
+/// front and the count starts at their number, so each one saves the oracle
+/// call that would have found it again; and for an [`CellCount::Exact`]
+/// cell the second element of the result is the cell's full model set,
+/// `known` included.  With `None` no models are kept, so a large exact
+/// enumeration holds none of them in memory.  The second element is empty
+/// for every other verdict.
 ///
-/// This is the deadline-only compatibility form; [`saturating_count_ctl`]
-/// additionally observes a cancellation token and reports each discovered
-/// model to a progress observer.
-///
-/// # Errors
-///
-/// Propagates [`pact_solver::SolverError`] for unsupported constructs.
-pub fn saturating_count<O: Oracle + ?Sized>(
-    ctx: &mut O,
-    tm: &mut TermManager,
-    projection: &[TermId],
-    thresh: u64,
-    deadline: Option<Instant>,
-) -> Result<CellCount> {
-    saturating_count_ctl(
-        ctx,
-        tm,
-        projection,
-        thresh,
-        &RunControl::with_deadline(deadline),
-    )
-}
-
-/// [`saturating_count`] under a full [`RunControl`]: the enumeration checks
-/// the deadline *and* the cancellation token before every oracle call, and
-/// emits a [`ProgressEvent::Model`] for every projected model it finds.
-///
-/// Cancellation surfaces as [`CellCount::Unknown`], the same verdict as a
-/// deadline expiry or an oracle give-up, so callers need exactly one
-/// "stop now" path.
+/// Cancellation and deadline expiry surface as [`CellCount::Unknown`], the
+/// same verdict as an oracle give-up, so callers need exactly one "stop now"
+/// path.
 ///
 /// # Errors
 ///
@@ -86,26 +66,35 @@ pub fn saturating_count_ctl<O: Oracle + ?Sized>(
     tm: &mut TermManager,
     projection: &[TermId],
     thresh: u64,
+    reuse: Option<&[Vec<BvValue>]>,
     ctrl: &RunControl,
-) -> Result<CellCount> {
-    let mut count = 0u64;
+) -> Result<(CellCount, Vec<Vec<BvValue>>)> {
+    let known = reuse.unwrap_or_default();
+    for model in known {
+        block_projected_model(ctx, tm, projection, model);
+    }
+    let mut models = known.to_vec();
+    let mut count = known.len() as u64;
     loop {
         if ctrl.interrupted() {
-            return Ok(CellCount::Unknown);
+            return Ok((CellCount::Unknown, Vec::new()));
         }
         match ctx.check(tm)? {
-            SolverResult::Unsat => return Ok(CellCount::Exact(count)),
-            SolverResult::Unknown => return Ok(CellCount::Unknown),
+            SolverResult::Unsat => return Ok((CellCount::Exact(count), models)),
+            SolverResult::Unknown => return Ok((CellCount::Unknown, Vec::new())),
             SolverResult::Sat => {
                 count += 1;
                 ctrl.emit(ProgressEvent::Model { found: count });
                 if count >= thresh {
-                    return Ok(CellCount::Saturated);
+                    return Ok((CellCount::Saturated, Vec::new()));
                 }
                 let model = ctx
                     .projected_model(tm, projection)
                     .expect("model available after SAT");
                 block_projected_model(ctx, tm, projection, &model);
+                if reuse.is_some() {
+                    models.push(model);
+                }
             }
         }
     }
@@ -146,23 +135,13 @@ pub fn block_projected_model<O: Oracle + ?Sized>(
     ctx.assert_term(blocking);
 }
 
-/// Collects the projected model as a map keyed by projection variable, which
-/// is the representation the hash-constraint evaluator expects.
-pub fn projected_model_map<O: Oracle + ?Sized>(
-    ctx: &O,
-    tm: &TermManager,
-    projection: &[TermId],
-) -> Option<HashMap<TermId, BvValue>> {
-    let values = ctx.projected_model(tm, projection)?;
-    Some(projection.iter().copied().zip(values).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::progress::CancellationToken;
     use pact_ir::Sort;
-    use pact_solver::Context;
+    use pact_solver::{Context, IncrementalContext};
+    use std::time::Instant;
 
     fn small_instance(tm: &mut TermManager) -> (TermId, TermId) {
         // x < 6 over 4 bits: exactly 6 projected models.
@@ -179,8 +158,18 @@ mod tests {
         let mut ctx = Context::new();
         ctx.track_var(x);
         ctx.assert_term(f);
-        let c = saturating_count(&mut ctx, &mut tm, &[x], 100, None).unwrap();
+        let (c, models) = saturating_count_ctl(
+            &mut ctx,
+            &mut tm,
+            &[x],
+            100,
+            None,
+            &RunControl::with_deadline(None),
+        )
+        .unwrap();
         assert_eq!(c, CellCount::Exact(6));
+        // Without `reuse` no models are kept.
+        assert!(models.is_empty());
     }
 
     #[test]
@@ -190,7 +179,16 @@ mod tests {
         let mut ctx = Context::new();
         ctx.track_var(x);
         ctx.assert_term(f);
-        let c = saturating_count(&mut ctx, &mut tm, &[x], 3, None).unwrap();
+        let c = saturating_count_ctl(
+            &mut ctx,
+            &mut tm,
+            &[x],
+            3,
+            None,
+            &RunControl::with_deadline(None),
+        )
+        .unwrap()
+        .0;
         assert!(c.is_saturated());
     }
 
@@ -203,7 +201,16 @@ mod tests {
         let mut ctx = Context::new();
         ctx.track_var(x);
         ctx.assert_term(f);
-        let c = saturating_count(&mut ctx, &mut tm, &[x], 10, None).unwrap();
+        let c = saturating_count_ctl(
+            &mut ctx,
+            &mut tm,
+            &[x],
+            10,
+            None,
+            &RunControl::with_deadline(None),
+        )
+        .unwrap()
+        .0;
         assert_eq!(c, CellCount::Exact(0));
     }
 
@@ -219,7 +226,16 @@ mod tests {
         let mut ctx = Context::new();
         ctx.track_var(x);
         ctx.assert_term(both);
-        let c = saturating_count(&mut ctx, &mut tm, &[x], 100, None).unwrap();
+        let c = saturating_count_ctl(
+            &mut ctx,
+            &mut tm,
+            &[x],
+            100,
+            None,
+            &RunControl::with_deadline(None),
+        )
+        .unwrap()
+        .0;
         assert_eq!(c, CellCount::Exact(6));
     }
 
@@ -242,7 +258,16 @@ mod tests {
         for f in [f1, f2, f3] {
             ctx.assert_term(f);
         }
-        let c = saturating_count(&mut ctx, &mut tm, &[b], 100, None).unwrap();
+        let c = saturating_count_ctl(
+            &mut ctx,
+            &mut tm,
+            &[b],
+            100,
+            None,
+            &RunControl::with_deadline(None),
+        )
+        .unwrap()
+        .0;
         assert_eq!(c, CellCount::Exact(4));
     }
 
@@ -254,7 +279,16 @@ mod tests {
         ctx.track_var(x);
         ctx.assert_term(f);
         let past = Instant::now();
-        let c = saturating_count(&mut ctx, &mut tm, &[x], 100, Some(past)).unwrap();
+        let c = saturating_count_ctl(
+            &mut ctx,
+            &mut tm,
+            &[x],
+            100,
+            None,
+            &RunControl::with_deadline(Some(past)),
+        )
+        .unwrap()
+        .0;
         assert_eq!(c, CellCount::Unknown);
     }
 
@@ -271,7 +305,7 @@ mod tests {
             cancel: Some(token),
             ..RunControl::default()
         };
-        let c = saturating_count_ctl(&mut ctx, &mut tm, &[x], 100, &ctrl).unwrap();
+        let (c, _) = saturating_count_ctl(&mut ctx, &mut tm, &[x], 100, None, &ctrl).unwrap();
         assert_eq!(c, CellCount::Unknown);
     }
 
@@ -290,7 +324,83 @@ mod tests {
         ctx.track_var(y);
         ctx.assert_term(f1);
         ctx.assert_term(f2);
-        let c = saturating_count(&mut ctx, &mut tm, &[x, y], 100, None).unwrap();
+        let c = saturating_count_ctl(
+            &mut ctx,
+            &mut tm,
+            &[x, y],
+            100,
+            None,
+            &RunControl::with_deadline(None),
+        )
+        .unwrap()
+        .0;
         assert_eq!(c, CellCount::Exact(6));
+    }
+
+    /// Measures `x < 200 ∧ x[0] = 0 ∧ … ∧ x[len-1] = 0` (the prefix of
+    /// length `len` of three nested bit constraints) on a fresh oracle,
+    /// blocking `known` up front; returns the verdict, the models and the
+    /// number of oracle checks it took.
+    fn measure_prefix<O: Oracle>(
+        mut ctx: O,
+        len: u32,
+        thresh: u64,
+        known: &[Vec<BvValue>],
+    ) -> (CellCount, Vec<Vec<BvValue>>, u64) {
+        let mut tm = TermManager::new();
+        let x = tm.mk_var("x", Sort::BitVec(8));
+        let bound = tm.mk_bv_const(200, 8);
+        let f = tm.mk_bv_ult(x, bound).unwrap();
+        let zero = tm.mk_bv_const(0, 1);
+        ctx.track_var(x);
+        ctx.assert_term(f);
+        ctx.push();
+        for bit in 0..len {
+            let b = tm.mk_bv_extract(x, bit, bit).unwrap();
+            let cleared = tm.mk_eq(b, zero);
+            ctx.assert_term(cleared);
+        }
+        let (count, models) = saturating_count_ctl(
+            &mut ctx,
+            &mut tm,
+            &[x],
+            thresh,
+            Some(known),
+            &RunControl::default(),
+        )
+        .unwrap();
+        ctx.pop();
+        (count, models, ctx.stats().checks)
+    }
+
+    /// Seeding prefix 1 with the models of the nested prefix 3 (25 models)
+    /// gives the unseeded verdict with exactly 25 fewer checks, both when
+    /// prefix 1 (100 models) ends exact and when it saturates.
+    fn seeded_measurement_saves_the_known_models<O: Oracle>(make: impl Fn() -> O) {
+        let (inner, known, _) = measure_prefix(make(), 3, 80, &[]);
+        assert_eq!(inner, CellCount::Exact(25));
+        assert_eq!(known.len(), 25);
+        for (thresh, expected) in [(120, CellCount::Exact(100)), (80, CellCount::Saturated)] {
+            let (plain, plain_models, plain_checks) = measure_prefix(make(), 1, thresh, &[]);
+            let (seeded, seeded_models, seeded_checks) = measure_prefix(make(), 1, thresh, &known);
+            assert_eq!(plain, expected);
+            assert_eq!(seeded, plain, "thresh {thresh}");
+            assert_eq!(seeded_checks + 25, plain_checks, "thresh {thresh}");
+            let mut plain_models = plain_models;
+            let mut seeded_models = seeded_models;
+            plain_models.sort();
+            seeded_models.sort();
+            assert_eq!(seeded_models, plain_models, "thresh {thresh}");
+        }
+    }
+
+    #[test]
+    fn known_models_are_reused_on_the_rebuild_backend() {
+        seeded_measurement_saves_the_known_models(Context::new);
+    }
+
+    #[test]
+    fn known_models_are_reused_on_the_incremental_backend() {
+        seeded_measurement_saves_the_known_models(IncrementalContext::new);
     }
 }
