@@ -1,14 +1,15 @@
 //! Bit-blasting encoder: hybrid SMT terms → CNF + XOR + theory atoms.
 //!
 //! Discrete structure (booleans, bit-vectors, bounded integers) is encoded
-//! eagerly into the CDCL solver with Tseitin-style circuits.  Continuous
+//! eagerly into the CDCL solver with Tseitin-style circuits; a gate with a
+//! constant input folds instead of allocating a variable, and division by
+//! a constant is encoded linearly (`Encoder::bv_divrem_const`).  Continuous
 //! atoms (real and relaxed floating-point comparisons) become fresh boolean
 //! abstraction literals whose theory meaning is recorded as
 //! [`TheoryAtom`]s; the lazy DPLL(T) loop in [`crate::Context`] checks their
 //! conjunction with the simplex core.
 
-use std::collections::HashMap;
-
+use pact_ir::fxhash::FxHashMap;
 use pact_ir::{BvValue, Op, Sort, TermId, TermManager};
 use pact_lra::{Constraint, LinExpr, LraVar, Relation};
 use pact_sat::{Lit, Solver, Var};
@@ -36,13 +37,13 @@ pub struct TheoryAtom {
 pub struct Encoder {
     sat: Solver,
     true_lit: Option<Lit>,
-    bool_map: HashMap<TermId, Lit>,
-    bv_map: HashMap<TermId, Vec<Lit>>,
-    int_map: HashMap<TermId, Vec<Lit>>,
-    real_var_map: HashMap<TermId, LraVar>,
-    real_expr_cache: HashMap<TermId, LinExpr>,
+    bool_map: FxHashMap<TermId, Lit>,
+    bv_map: FxHashMap<TermId, Vec<Lit>>,
+    int_map: FxHashMap<TermId, Vec<Lit>>,
+    real_var_map: FxHashMap<TermId, LraVar>,
+    real_expr_cache: FxHashMap<TermId, LinExpr>,
     atoms: Vec<TheoryAtom>,
-    atom_of_term: HashMap<TermId, Lit>,
+    atom_of_term: FxHashMap<TermId, Lit>,
     num_lra_vars: u32,
     /// The DPLL(T) loop's last theory-consistent assignment.
     pub(crate) theory_memo: TheoryMemo,
@@ -130,7 +131,29 @@ impl Encoder {
         }
     }
 
+    /// The value of `l` when it is the true literal or its negation.
+    ///
+    /// The gates below fold such inputs instead of allocating a variable.
+    /// This is sound in every frame: `true_lit` is a level-0 unit, and a
+    /// compaction discards the whole encoder, `true_lit` included.
+    fn const_value(&self, l: Lit) -> Option<bool> {
+        let t = self.true_lit?;
+        if l == t {
+            Some(true)
+        } else if l == !t {
+            Some(false)
+        } else {
+            None
+        }
+    }
+
     fn and2(&mut self, a: Lit, b: Lit) -> Lit {
+        match (self.const_value(a), self.const_value(b)) {
+            (Some(false), _) | (_, Some(false)) => return self.false_lit(),
+            (Some(true), _) => return b,
+            (_, Some(true)) => return a,
+            _ => {}
+        }
         if a == b {
             return a;
         }
@@ -149,6 +172,12 @@ impl Encoder {
     }
 
     fn xor2(&mut self, a: Lit, b: Lit) -> Lit {
+        if let Some(c) = self.const_value(a) {
+            return if c { !b } else { b };
+        }
+        if let Some(c) = self.const_value(b) {
+            return if c { !a } else { a };
+        }
         if a == b {
             return self.false_lit();
         }
@@ -169,8 +198,21 @@ impl Encoder {
 
     /// `if sel then a else b`.
     fn mux(&mut self, sel: Lit, a: Lit, b: Lit) -> Lit {
+        if let Some(s) = self.const_value(sel) {
+            return if s { a } else { b };
+        }
         if a == b {
             return a;
+        }
+        // One constant arm leaves an AND or an OR with the selector.
+        match (self.const_value(a), self.const_value(b)) {
+            (Some(true), Some(false)) => return sel,
+            (Some(false), Some(true)) => return !sel,
+            (Some(true), None) => return self.or2(sel, b),
+            (Some(false), None) => return self.and2(!sel, b),
+            (None, Some(true)) => return self.or2(!sel, a),
+            (None, Some(false)) => return self.and2(sel, a),
+            _ => {}
         }
         let g = self.fresh();
         self.sat.add_clause(&[!g, !sel, a]);
@@ -181,13 +223,21 @@ impl Encoder {
     }
 
     fn and_many(&mut self, lits: &[Lit]) -> Lit {
-        match lits.len() {
+        let mut open = Vec::with_capacity(lits.len());
+        for &l in lits {
+            match self.const_value(l) {
+                Some(false) => return self.false_lit(),
+                Some(true) => {}
+                None => open.push(l),
+            }
+        }
+        match open.len() {
             0 => self.true_lit(),
-            1 => lits[0],
+            1 => open[0],
             _ => {
                 let g = self.fresh();
                 let mut long = vec![g];
-                for &l in lits {
+                for &l in &open {
                     self.sat.add_clause(&[!g, l]);
                     long.push(!l);
                 }
@@ -264,13 +314,12 @@ impl Encoder {
     }
 
     fn bv_ult(&mut self, a: &[Lit], b: &[Lit]) -> Lit {
-        // Iterate from LSB to MSB: lt_i = (¬a_i ∧ b_i) ∨ ((a_i ≡ b_i) ∧ lt_{i-1})
+        // Iterate from LSB to MSB: lt_i = if a_i ≡ b_i then lt_{i-1} else b_i.
+        // Against a constant `b` each bit costs one AND or OR gate.
         let mut lt = self.false_lit();
         for i in 0..a.len() {
-            let bit_lt = self.and2(!a[i], b[i]);
             let eq = self.xnor2(a[i], b[i]);
-            let carry = self.and2(eq, lt);
-            lt = self.or2(bit_lt, carry);
+            lt = self.mux(eq, lt, b[i]);
         }
         lt
     }
@@ -375,6 +424,57 @@ impl Encoder {
         let quotient = self.bv_mux(b_nonzero, &quotient, &all_ones);
         let remainder = self.bv_mux(b_nonzero, &remainder, a);
         (quotient, remainder)
+    }
+
+    /// The value of a bit-vector whose bits are all constant.
+    fn const_word(&self, bits: &[Lit]) -> Option<u128> {
+        if bits.len() > u128::BITS as usize {
+            return None;
+        }
+        bits.iter().enumerate().try_fold(0u128, |acc, (i, &l)| {
+            self.const_value(l).map(|bit| acc | (u128::from(bit) << i))
+        })
+    }
+
+    /// `(quotient, remainder)` of `a` by a constant `p ≠ 0`, encoded
+    /// linearly: fresh `q` and `r` with `zext(a) = q·p + zext(r)` and
+    /// `r <ᵤ p`, where `q·p` is a shift-add over the set bits of `p`.
+    ///
+    /// `q` gets the bits of `⌊(2ʷ−1)/p⌋` and `r` those of `p − 1`.  The
+    /// sum is taken at width `|q| + |p|`, where even the largest
+    /// representable `q` and `r` give `q·p + r ≤ (2^|q| − 1)(2^|p| − 1) +
+    /// 2^|p| − 1 < 2^(|q|+|p|)`: nothing wraps, so the equation holds over
+    /// the integers and `q`, `r` are the true quotient and remainder.  That
+    /// width also exceeds `w`, because `(⌊(2ʷ−1)/p⌋ + 1)·p ≥ 2ʷ`.
+    ///
+    /// The clauses are unguarded definitions, like a Tseitin gate's: `q`
+    /// and `r` are total functions of `a`, so they constrain nothing else.
+    fn bv_divrem_const(&mut self, a: &[Lit], p: u128) -> (Vec<Lit>, Vec<Lit>) {
+        let w = a.len();
+        let width_of = |v: u128| (u128::BITS - v.leading_zeros()) as usize;
+        let q_max = (u128::MAX >> (u128::BITS as usize - w)) / p;
+        let wide = width_of(q_max) + width_of(p);
+        debug_assert!(wide > w);
+        let q: Vec<Lit> = (0..width_of(q_max)).map(|_| self.fresh()).collect();
+        let r: Vec<Lit> = (0..width_of(p - 1)).map(|_| self.fresh()).collect();
+        let r_wide = self.widen(r.clone(), width_of(p));
+        let mut sum = self.widen(r_wide.clone(), wide);
+        for shift in (0..width_of(p)).filter(|&i| p >> i & 1 == 1) {
+            let mut addend = vec![self.false_lit(); shift];
+            addend.extend_from_slice(&q);
+            let addend = self.widen(addend, wide);
+            sum = self.bv_add(&sum, &addend);
+        }
+        let f = self.false_lit();
+        for (i, &s) in sum.iter().enumerate() {
+            let bit = a.get(i).copied().unwrap_or(f);
+            self.sat.add_clause(&[!s, bit]);
+            self.sat.add_clause(&[s, !bit]);
+        }
+        let p_bits = self.const_bits(&BvValue::new(p, width_of(p) as u32));
+        let below_p = self.bv_ult(&r_wide, &p_bits);
+        self.sat.add_clause(&[below_p]);
+        (self.widen(q, w), self.widen(r, w))
     }
 
     // ------------------------------------------------------------------
@@ -697,15 +797,18 @@ impl Encoder {
                 let b = self.encode_bv(tm, children[1])?;
                 self.bv_mul(&a, &b)
             }
-            Op::BvUdiv => {
+            op @ (Op::BvUdiv | Op::BvUrem) => {
                 let a = self.encode_bv(tm, children[0])?;
                 let b = self.encode_bv(tm, children[1])?;
-                self.bv_divrem(&a, &b).0
-            }
-            Op::BvUrem => {
-                let a = self.encode_bv(tm, children[0])?;
-                let b = self.encode_bv(tm, children[1])?;
-                self.bv_divrem(&a, &b).1
+                let (quotient, remainder) = match self.const_word(&b) {
+                    Some(p) if p != 0 => self.bv_divrem_const(&a, p),
+                    _ => self.bv_divrem(&a, &b),
+                };
+                if matches!(op, Op::BvUdiv) {
+                    quotient
+                } else {
+                    remainder
+                }
             }
             Op::BvShl => {
                 let a = self.encode_bv(tm, children[0])?;
@@ -1203,6 +1306,102 @@ mod tests {
             enc.sat().add_clause(&blocking);
         }
         assert_eq!(count, 4);
+    }
+
+    /// Variables the encoder allocated for the two circuits below before it
+    /// folded constant inputs (and when it still used restoring division
+    /// for every divisor).
+    const UNFOLDED_ULT_VARS: usize = 51;
+    const UNFOLDED_PRIME_HASH_VARS: usize = 4483;
+
+    /// `(5·x[3:0] + 11·x[7:4] + 3·x[9:8] + 7) mod 17 = 9` in 13-bit
+    /// arithmetic: the shape `pact_prime` draws for a 10-bit variable with
+    /// ℓ = 4 (p = 17, width = |p − 1| + ℓ + |slices + 1| + 1).
+    fn prime_hash_term(tm: &mut TermManager, x: TermId) -> TermId {
+        let w = 13;
+        let mut acc = tm.mk_bv_const(7, w);
+        for (lo, width, a) in [(0, 4, 5), (4, 4, 11), (8, 2, 3)] {
+            let slice = tm.mk_bv_extract(x, lo + width - 1, lo).unwrap();
+            let widened = tm.mk_bv_zero_extend(slice, w - width).unwrap();
+            let coeff = tm.mk_bv_const(a, w);
+            let product = tm.mk_bv_mul(widened, coeff).unwrap();
+            acc = tm.mk_bv_add(acc, product).unwrap();
+        }
+        let p = tm.mk_bv_const(17, w);
+        let hashed = tm.mk_bv_urem(acc, p).unwrap();
+        let target = tm.mk_bv_const(9, w);
+        tm.mk_eq(hashed, target)
+    }
+
+    /// Number of SAT variables after asserting `build`'s term over a fresh
+    /// 10-bit `x`.
+    fn vars_to_assert(build: impl FnOnce(&mut TermManager, TermId) -> TermId) -> usize {
+        let mut tm = TermManager::new();
+        let x = tm.mk_var("x", Sort::BitVec(10));
+        let t = build(&mut tm, x);
+        let mut enc = Encoder::new();
+        enc.assert_term(&tm, t).unwrap();
+        enc.sat().num_vars()
+    }
+
+    #[test]
+    fn constant_gate_inputs_allocate_no_variable() {
+        let mut enc = Encoder::new();
+        let t = enc.true_lit();
+        let (x, a, b) = (enc.fresh(), enc.fresh(), enc.fresh());
+        let before = enc.sat().num_vars();
+        assert_eq!(enc.and2(x, t), x);
+        assert_eq!(enc.and2(!t, x), !t);
+        assert_eq!(enc.xor2(x, !t), x);
+        assert_eq!(enc.xor2(t, x), !x);
+        assert_eq!(enc.mux(t, a, b), a);
+        assert_eq!(enc.mux(!t, a, b), b);
+        assert_eq!(enc.mux(x, t, !t), x);
+        assert_eq!(enc.mux(x, !t, t), !x);
+        assert_eq!(enc.and_many(&[t, x, t]), x);
+        assert_eq!(enc.or_many(&[x, t]), t);
+        assert_eq!(enc.or_many(&[!t, !t]), !t);
+        assert_eq!(enc.sat().num_vars(), before);
+    }
+
+    #[test]
+    fn comparison_against_a_constant_allocates_fewer_variables() {
+        let vars = vars_to_assert(|tm, x| {
+            let c = tm.mk_bv_const(700, 10);
+            tm.mk_bv_ult(x, c).unwrap()
+        });
+        assert!(vars < UNFOLDED_ULT_VARS, "{vars} variables");
+    }
+
+    #[test]
+    fn prime_hash_allocates_at_most_half_the_unfolded_variables() {
+        let vars = vars_to_assert(prime_hash_term);
+        assert!(vars <= UNFOLDED_PRIME_HASH_VARS / 2, "{vars} variables");
+    }
+
+    #[test]
+    fn prime_hash_circuit_has_the_hash_models() {
+        let mut tm = TermManager::new();
+        let x = tm.mk_var("x", Sort::BitVec(10));
+        let h = prime_hash_term(&mut tm, x);
+        let mut enc = Encoder::new();
+        enc.assert_term(&tm, h).unwrap();
+        let bits = enc.var_bits(&tm, x).unwrap();
+        let mut models = Vec::new();
+        while enc.sat().solve(&[]) == SatResult::Sat {
+            let value = enc.model_bits(&tm, x).unwrap().as_u128();
+            models.push(value);
+            let blocking: Vec<Lit> = bits
+                .iter()
+                .map(|&l| l.var().lit(!enc.sat().model()[l.var().index()]))
+                .collect();
+            enc.sat().add_clause(&blocking);
+        }
+        models.sort_unstable();
+        let expected: Vec<u128> = (0..1024u128)
+            .filter(|v| (5 * (v & 15) + 11 * ((v >> 4) & 15) + 3 * (v >> 8) + 7) % 17 == 9)
+            .collect();
+        assert_eq!(models, expected);
     }
 
     #[test]
