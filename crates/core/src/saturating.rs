@@ -39,10 +39,11 @@ impl CellCount {
 /// model it finds.
 ///
 /// Every discovered projected model is blocked by asserting the negation of
-/// `S = model`, so the enumeration counts *distinct projected* assignments,
-/// exactly as §III-B describes.  Blocking clauses are asserted in the current
-/// frame; callers wrap the call in `push`/`pop` when the formula must be
-/// reused afterwards.
+/// `S = model` ([`Oracle::block_model`]: one clause over the projection's
+/// bits on the workspace backends), so the enumeration counts *distinct
+/// projected* assignments, exactly as §III-B describes.  Blocking clauses
+/// are asserted in the current frame; callers wrap the call in
+/// `push`/`pop` when the formula must be reused afterwards.
 ///
 /// `reuse` is for callers that measure nested cells.  With `Some(known)`,
 /// `known` are projected models the caller already knows to lie in the cell
@@ -71,7 +72,7 @@ pub fn saturating_count_ctl<O: Oracle + ?Sized>(
 ) -> Result<(CellCount, Vec<Vec<BvValue>>)> {
     let known = reuse.unwrap_or_default();
     for model in known {
-        block_projected_model(ctx, tm, projection, model);
+        ctx.block_model(tm, projection, model);
     }
     let mut models = known.to_vec();
     let mut count = known.len() as u64;
@@ -91,7 +92,7 @@ pub fn saturating_count_ctl<O: Oracle + ?Sized>(
                 let model = ctx
                     .projected_model(tm, projection)
                     .expect("model available after SAT");
-                block_projected_model(ctx, tm, projection, &model);
+                ctx.block_model(tm, projection, &model);
                 if reuse.is_some() {
                     models.push(model);
                 }
@@ -100,39 +101,15 @@ pub fn saturating_count_ctl<O: Oracle + ?Sized>(
     }
 }
 
-/// Asserts `¬(S = model)` so the same projected assignment is not found again.
+/// Asserts `¬(S = model)` so the same projected assignment is not found
+/// again: [`Oracle::block_model`] under the name the enumeration tests use.
 pub fn block_projected_model<O: Oracle + ?Sized>(
     ctx: &mut O,
     tm: &mut TermManager,
     projection: &[TermId],
     model: &[BvValue],
 ) {
-    let mut equalities = Vec::with_capacity(projection.len());
-    for (&var, value) in projection.iter().zip(model) {
-        let equal = match tm.sort(var) {
-            pact_ir::Sort::Bool => {
-                let target = tm.mk_bool(value.as_u128() == 1);
-                tm.mk_eq(var, target)
-            }
-            pact_ir::Sort::BoundedInt { .. } => {
-                let target = tm.mk_int_const(value.as_u128() as i64);
-                // Equality requires matching sorts; compare through an
-                // integer constant of the variable's own sort via Eq on the
-                // bounded-int encoding: build `var <= c ∧ c <= var`.
-                let le = tm.mk_int_le(var, target).expect("int comparison");
-                let ge = tm.mk_int_le(target, var).expect("int comparison");
-                tm.mk_and([le, ge])
-            }
-            _ => {
-                let target = tm.mk_bv_value(*value);
-                tm.mk_eq(var, target)
-            }
-        };
-        equalities.push(equal);
-    }
-    let conj = tm.mk_and(equalities);
-    let blocking = tm.mk_not(conj);
-    ctx.assert_term(blocking);
+    ctx.block_model(tm, projection, model);
 }
 
 #[cfg(test)]

@@ -825,8 +825,9 @@ impl Solver {
                         return SatResult::Unsat;
                     }
                 } else {
-                    let cref = self.attach_learnt(learnt.clone());
-                    self.enqueue(learnt[0], Some(cref));
+                    let asserting = learnt[0];
+                    let cref = self.attach_learnt(learnt);
+                    self.enqueue(asserting, Some(cref));
                 }
                 self.decay_activities();
                 if self.conflict_exhausted(budget_start) || self.interrupted() {
@@ -889,8 +890,12 @@ impl Solver {
         self.attach_clause(lits)
     }
 
+    /// Copies the current assignment into `model`, reusing its buffer: an
+    /// enumeration saves one model per check.
     fn save_model(&mut self) {
-        self.model = self.assigns.iter().map(|&a| a == LBool::True).collect();
+        self.model.clear();
+        self.model
+            .extend(self.assigns.iter().map(|&a| a == LBool::True));
     }
 
     /// Value of `v` in the most recent satisfying assignment.

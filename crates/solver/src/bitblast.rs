@@ -488,20 +488,17 @@ impl Encoder {
         Ok(())
     }
 
-    /// Recognises the saturating counter's model-blocking pattern
-    /// `¬(v₁ = c₁ ∧ … ∧ vₙ = cₙ)` — discrete variables against constants —
-    /// and asserts it as a *single clause* over the variables' existing bit
-    /// literals instead of Tseitin-encoding the term (which would allocate
-    /// ~4 gate clauses and a fresh variable per bit, every time a model is
-    /// blocked).  `guard` is prepended to the clause when given (the
-    /// incremental backend's activation literal).
+    /// Recognises the model-blocking pattern `¬(v₁ = c₁ ∧ … ∧ vₙ = cₙ)` —
+    /// boolean and bit-vector variables against constants — in an asserted
+    /// *term* and emits it through [`Encoder::assert_blocking_clause`]
+    /// instead of Tseitin-encoding it (which would allocate ~4 gate clauses
+    /// and a fresh variable per bit).  This is the term fallback: the
+    /// saturating counter blocks its models through
+    /// [`Oracle::block_model`](crate::Oracle::block_model), which reaches
+    /// the clause builder without building a term at all.
     ///
     /// Returns `false` without touching the solver when the term does not
     /// match the pattern; the caller falls back to the general encoder.
-    /// The fast path matters twice over: enumeration-heavy cells block
-    /// hundreds of models, and (for the incremental backend) a retired
-    /// frame leaves one satisfied clause behind instead of a thicket of
-    /// live gate clauses that propagation keeps visiting.
     pub fn try_assert_blocking(
         &mut self,
         tm: &TermManager,
@@ -541,26 +538,48 @@ impl Encoder {
             }
             pairs.push((var, value));
         }
+        self.assert_blocking_clause(tm, &pairs, guard)?;
+        Ok(true)
+    }
+
+    /// Asserts `¬(v₁ = c₁ ∧ … ∧ vₙ = cₙ)` as a *single clause* over the
+    /// variables' bit literals: at least one bit must differ from the
+    /// blocked model.  `guard` is prepended to the clause when given (the
+    /// incremental backend's activation literal).
+    ///
+    /// Every blocked model goes through here, so enumeration-heavy cells
+    /// pay one clause per model; and a retired incremental frame leaves one
+    /// satisfied clause behind instead of a thicket of live gate clauses
+    /// that propagation keeps visiting.  Each `cᵢ` must have the width of
+    /// `vᵢ`'s bits (1 for a boolean).
+    pub fn assert_blocking_clause(
+        &mut self,
+        tm: &TermManager,
+        pairs: &[(TermId, BvValue)],
+        guard: Option<Lit>,
+    ) -> Result<()> {
         let mut clause: Vec<Lit> = Vec::new();
         if let Some(g) = guard {
             clause.push(!g);
         }
-        for (var, value) in pairs {
+        for &(var, value) in pairs {
             self.ensure_var_bits(tm, var)?;
-            let bits = self.var_bits(tm, var).expect("bits just ensured");
+            let bits = self.var_lits(tm, var).expect("bits just ensured");
             for (i, &lit) in bits.iter().enumerate() {
-                // The clause demands at least one bit differ from the model.
                 clause.push(if value.bit(i as u32) { !lit } else { lit });
             }
         }
         self.sat.add_clause(&clause);
-        Ok(true)
+        Ok(())
     }
 
     /// Ensures the bits of a discrete variable exist in the SAT solver, so
     /// that models and hash constraints range over it even when it does not
     /// occur in any assertion.
     pub fn ensure_var_bits(&mut self, tm: &TermManager, var: TermId) -> Result<()> {
+        if self.var_lits(tm, var).is_some() {
+            return Ok(());
+        }
         match tm.sort(var) {
             Sort::Bool => {
                 self.encode_bool(tm, var)?;
@@ -584,12 +603,38 @@ impl Encoder {
     ///
     /// The variable must have been encoded (see [`Encoder::ensure_var_bits`]).
     pub fn var_bits(&self, tm: &TermManager, var: TermId) -> Option<Vec<Lit>> {
+        self.var_lits(tm, var).map(<[Lit]>::to_vec)
+    }
+
+    /// [`Encoder::var_bits`] without the copy.
+    fn var_lits(&self, tm: &TermManager, var: TermId) -> Option<&[Lit]> {
         match tm.sort(var) {
-            Sort::Bool => self.bool_map.get(&var).map(|&l| vec![l]),
-            Sort::BitVec(_) => self.bv_map.get(&var).cloned(),
-            Sort::BoundedInt { .. } => self.int_map.get(&var).cloned(),
+            Sort::Bool => self.bool_map.get(&var).map(std::slice::from_ref),
+            Sort::BitVec(_) => self.bv_map.get(&var).map(Vec::as_slice),
+            Sort::BoundedInt { .. } => self.int_map.get(&var).map(Vec::as_slice),
             _ => None,
         }
+    }
+
+    /// The literals of the chosen bits (`(variable, bit index)`) of a
+    /// native XOR constraint, encoding each variable's bits if needed.
+    pub(crate) fn xor_bit_lits(
+        &mut self,
+        tm: &TermManager,
+        bits: &[(TermId, u32)],
+    ) -> Result<Vec<Lit>> {
+        let mut lits = Vec::with_capacity(bits.len() + 1);
+        for &(var, bit) in bits {
+            self.ensure_var_bits(tm, var)?;
+            let var_bits = self
+                .var_lits(tm, var)
+                .ok_or_else(|| SolverError::Internal("tracked variable has no bits".to_string()))?;
+            let lit = *var_bits.get(bit as usize).ok_or_else(|| {
+                SolverError::Internal(format!("bit index {bit} out of range for hash constraint"))
+            })?;
+            lits.push(lit);
+        }
+        Ok(lits)
     }
 
     /// Adds a native XOR constraint over the given literals.
@@ -1124,7 +1169,7 @@ impl Encoder {
 
     /// Reads the value of a discrete variable from the SAT model.
     pub fn model_bits(&self, tm: &TermManager, var: TermId) -> Option<BvValue> {
-        let bits = self.var_bits(tm, var)?;
+        let bits = self.var_lits(tm, var)?;
         let model = self.sat.model();
         let mut value = 0u128;
         for (i, &lit) in bits.iter().enumerate() {

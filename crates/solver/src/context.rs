@@ -3,12 +3,13 @@
 use std::collections::HashMap;
 
 use pact_ir::{BvValue, Rational, TermId, TermManager, Value};
-use pact_sat::{InterruptFlag, SatOptions};
+use pact_sat::{InterruptFlag, Lit, SatOptions};
 
 use crate::bitblast::Encoder;
 use crate::dpllt::solve_with_theory;
 use crate::error::{Result, SolverError};
 use crate::model;
+use crate::oracle::{block_model_by_terms, blocking_pairs};
 use crate::preprocess::{preprocess, Preprocessed};
 
 /// Preprocessing results keyed by the raw asserted term, computed once by
@@ -226,13 +227,65 @@ impl std::ops::AddAssign for OracleStats {
     }
 }
 
-/// One assertion on the stack: either a term or a native XOR constraint over
-/// specific bits of discrete variables.
+/// One assertion on a backend's stack, awaiting (or replayed into) the
+/// encoder.
 #[derive(Debug, Clone)]
-enum Assertion {
+pub(crate) enum Assertion {
     Term(TermId),
     /// XOR of the chosen bits (`(variable, bit index)`) equals `rhs`.
     XorBits(Vec<(TermId, u32)>, bool),
+    /// A blocked projected model, `¬(v₁ = c₁ ∧ …)` over boolean and
+    /// bit-vector variables (see [`crate::Oracle::block_model`]).
+    Block(Vec<(TermId, BvValue)>),
+}
+
+/// Encodes one assertion into `encoder`, guarded by the activation literal
+/// `guard` when given (the incremental backend's frames).  Returns the
+/// engine id of a stored native XOR row, so a frame can retire it.
+pub(crate) fn encode_assertion(
+    encoder: &mut Encoder,
+    view: &mut TmView<'_>,
+    assertion: &Assertion,
+    guard: Option<Lit>,
+    cache: &mut PreprocessCache,
+    hits: &mut u64,
+) -> Result<Option<usize>> {
+    match assertion {
+        Assertion::Term(t) => {
+            let pre = view.preprocess(*t, cache, hits)?;
+            let tm = view.tm();
+            for &a in pre.assertions.iter().chain(pre.axioms.iter()) {
+                if encoder.try_assert_blocking(tm, a, guard)? {
+                    continue;
+                }
+                match guard {
+                    None => encoder.assert_term(tm, a)?,
+                    Some(g) => {
+                        let lit = encoder.encode_bool(tm, a)?;
+                        encoder.sat().add_clause(&[!g, lit]);
+                    }
+                }
+            }
+            Ok(None)
+        }
+        Assertion::XorBits(bits, rhs) => {
+            let mut lits = encoder.xor_bit_lits(view.tm(), bits)?;
+            if let Some(g) = guard {
+                // CNF-side selector: while the frame is live, `g` forces
+                // the slack off and the row is exactly the constraint;
+                // after `pop` asserts `¬g` the free slack absorbs any
+                // parity, neutralising the row.
+                let slack = encoder.sat().new_var().positive();
+                encoder.sat().add_clause(&[!g, !slack]);
+                lits.push(slack);
+            }
+            Ok(encoder.add_xor_over_lits(&lits, *rhs))
+        }
+        Assertion::Block(pairs) => {
+            encoder.assert_blocking_clause(view.tm(), pairs, guard)?;
+            Ok(None)
+        }
+    }
 }
 
 /// The incremental SMT oracle: an assertion stack with push/pop, `check`,
@@ -377,6 +430,22 @@ impl Context {
         self.assertions.push(Assertion::XorBits(bits, rhs));
     }
 
+    /// Blocks a projected model (see [`crate::Oracle::block_model`]):
+    /// boolean and bit-vector projections are queued as one clause over
+    /// their bits, anything else falls back to [`block_model_by_terms`].
+    pub fn block_model(&mut self, tm: &mut TermManager, projection: &[TermId], model: &[BvValue]) {
+        match blocking_pairs(tm, projection, model) {
+            Some(pairs) => self.block_pairs(pairs),
+            None => block_model_by_terms(self, tm, projection, model),
+        }
+    }
+
+    /// Queues an already-validated blocked model (a portfolio worker's
+    /// share of [`Context::block_model`]).
+    pub(crate) fn block_pairs(&mut self, pairs: Vec<(TermId, BvValue)>) {
+        self.assertions.push(Assertion::Block(pairs));
+    }
+
     /// Declares a variable whose bits must exist in every encoding, even if
     /// it never occurs in an assertion (used for projection variables so the
     /// model and the hash constraints range over their full domain).
@@ -433,52 +502,19 @@ impl Context {
             self.encoded_up_to = 0;
         }
         // Encode tracked variables first so their bits always exist.
-        {
-            let encoder = self.encoder.as_mut().expect("encoder exists");
-            for &v in &self.tracked_vars {
-                encoder.ensure_var_bits(view.tm(), v)?;
-            }
+        let encoder = self.encoder.as_mut().expect("encoder exists");
+        for &v in &self.tracked_vars {
+            encoder.ensure_var_bits(view.tm(), v)?;
         }
-        if self.encoded_up_to >= self.assertions.len() {
-            return Ok(());
-        }
-        let pending: Vec<Assertion> = self.assertions[self.encoded_up_to..].to_vec();
-        for assertion in pending {
-            match assertion {
-                Assertion::Term(t) => {
-                    let pre = view.preprocess(
-                        t,
-                        &mut self.preprocess_cache,
-                        &mut self.stats.preprocess_cache_hits,
-                    )?;
-                    let tm = view.tm();
-                    let encoder = self.encoder.as_mut().expect("encoder exists");
-                    for a in pre.assertions.iter().chain(pre.axioms.iter()) {
-                        if encoder.try_assert_blocking(tm, *a, None)? {
-                            continue;
-                        }
-                        encoder.assert_term(tm, *a)?;
-                    }
-                }
-                Assertion::XorBits(bits, rhs) => {
-                    let tm = view.tm();
-                    let encoder = self.encoder.as_mut().expect("encoder exists");
-                    let mut lits = Vec::with_capacity(bits.len());
-                    for (var, bit) in bits {
-                        encoder.ensure_var_bits(tm, var)?;
-                        let var_bits = encoder.var_bits(tm, var).ok_or_else(|| {
-                            SolverError::Internal("tracked variable has no bits".to_string())
-                        })?;
-                        let lit = *var_bits.get(bit as usize).ok_or_else(|| {
-                            SolverError::Internal(format!(
-                                "bit index {bit} out of range for hash constraint"
-                            ))
-                        })?;
-                        lits.push(lit);
-                    }
-                    encoder.add_xor_over_lits(&lits, rhs);
-                }
-            }
+        for assertion in &self.assertions[self.encoded_up_to..] {
+            encode_assertion(
+                encoder,
+                view,
+                assertion,
+                None,
+                &mut self.preprocess_cache,
+                &mut self.stats.preprocess_cache_hits,
+            )?;
         }
         self.encoded_up_to = self.assertions.len();
         Ok(())

@@ -74,7 +74,7 @@ use crate::context::{
 };
 use crate::error::Result;
 use crate::incremental::IncrementalContext;
-use crate::oracle::Oracle;
+use crate::oracle::{block_model_by_terms, blocking_pairs, Oracle};
 use crate::pool::{Job, PoolHandle, WorkerPool};
 
 /// What one conquest job returns through the pool: the worker's slot, the
@@ -665,6 +665,19 @@ impl Oracle for CubeContext {
         self.scout.assert_xor_bits(bits.clone(), rhs);
         for worker in &mut self.workers {
             worker.assert_xor_bits(bits.clone(), rhs);
+        }
+    }
+
+    fn block_model(&mut self, tm: &mut TermManager, projection: &[TermId], model: &[BvValue]) {
+        match blocking_pairs(tm, projection, model) {
+            Some(pairs) => {
+                self.settle();
+                for worker in &mut self.workers {
+                    worker.block_pairs(pairs.clone());
+                }
+                self.scout.block_pairs(pairs);
+            }
+            None => block_model_by_terms(self, tm, projection, model),
         }
     }
 

@@ -54,19 +54,13 @@ use pact_ir::{BvValue, Rational, TermId, TermManager, Value};
 use pact_sat::{InterruptFlag, Lit, SatOptions};
 
 use crate::bitblast::Encoder;
-use crate::context::{OracleStats, PreprocessCache, SolverConfig, SolverResult, TmView};
+use crate::context::{
+    encode_assertion, Assertion, OracleStats, PreprocessCache, SolverConfig, SolverResult, TmView,
+};
 use crate::dpllt::solve_with_theory;
-use crate::error::{Result, SolverError};
+use crate::error::Result;
 use crate::model;
-
-/// One not-yet-encoded assertion, tagged with the activation literal of the
-/// frame it belongs to (`None` for the permanent base level).
-#[derive(Debug, Clone)]
-enum Pending {
-    Term(TermId),
-    /// XOR of the chosen bits (`(variable, bit index)`) equals `rhs`.
-    XorBits(Vec<(TermId, u32)>, bool),
-}
+use crate::oracle::{block_model_by_terms, blocking_pairs};
 
 /// One live assertion-stack frame.
 #[derive(Debug)]
@@ -114,12 +108,13 @@ pub struct IncrementalContext {
     frames: Vec<Frame>,
     /// Next value of [`Frame::id`]; never reused.
     next_frame_id: u64,
-    /// Assertions awaiting encoding at the next `check`, keyed by frame id.
-    pending: Vec<(Option<u64>, Pending)>,
+    /// Assertions awaiting encoding at the next `check`, keyed by the id of
+    /// the frame they belong to (`None` for the permanent base level).
+    pending: Vec<(Option<u64>, Assertion)>,
     /// Journal of every assertion already in the solver, keyed by frame id:
     /// the replay source for compaction.  `pop` drops a dying frame's
     /// entries and adds them to `dead_entries`.
-    encoded: Vec<(Option<u64>, Pending)>,
+    encoded: Vec<(Option<u64>, Assertion)>,
     /// Journal entries retired by `pop` since the last compaction.
     dead_entries: u64,
     /// Minimum `dead_entries` before a compaction is considered.
@@ -298,14 +293,35 @@ impl IncrementalContext {
 
     /// Asserts a boolean term in the current frame.
     pub fn assert_term(&mut self, t: TermId) {
-        self.pending.push((self.current_guard(), Pending::Term(t)));
+        self.pending
+            .push((self.current_guard(), Assertion::Term(t)));
     }
 
     /// Asserts a native XOR constraint over individual bits of discrete
     /// variables: `⊕ bit ⊕ ... = rhs` (the `H_xor` fast path).
     pub fn assert_xor_bits(&mut self, bits: Vec<(TermId, u32)>, rhs: bool) {
         self.pending
-            .push((self.current_guard(), Pending::XorBits(bits, rhs)));
+            .push((self.current_guard(), Assertion::XorBits(bits, rhs)));
+    }
+
+    /// Blocks a projected model in the current frame (see
+    /// [`Oracle::block_model`](crate::Oracle::block_model)): boolean and
+    /// bit-vector projections are queued as one guarded clause over their
+    /// bits, journalled like any other assertion so compaction replays it;
+    /// anything else falls back to
+    /// [`block_model_by_terms`](crate::block_model_by_terms).
+    pub fn block_model(&mut self, tm: &mut TermManager, projection: &[TermId], model: &[BvValue]) {
+        match blocking_pairs(tm, projection, model) {
+            Some(pairs) => self.block_pairs(pairs),
+            None => block_model_by_terms(self, tm, projection, model),
+        }
+    }
+
+    /// Queues an already-validated blocked model in the current frame (a
+    /// parallel backend's share of [`IncrementalContext::block_model`]).
+    pub(crate) fn block_pairs(&mut self, pairs: Vec<(TermId, BvValue)>) {
+        self.pending
+            .push((self.current_guard(), Assertion::Block(pairs)));
     }
 
     /// Declares a variable whose bits must exist in every encoding, even if
@@ -323,8 +339,8 @@ impl IncrementalContext {
     ///
     /// # Errors
     ///
-    /// Returns [`SolverError::Unsupported`] when the formula falls outside
-    /// the supported fragment.
+    /// Returns [`crate::SolverError::Unsupported`] when the formula falls
+    /// outside the supported fragment.
     pub fn check(&mut self, tm: &mut TermManager) -> Result<SolverResult> {
         self.check_view(TmView::Exclusive(tm))
     }
@@ -367,16 +383,18 @@ impl IncrementalContext {
         // solver: an encoding error leaves the failing assertion (and the
         // rest) pending, so a retried `check` reports the same error instead
         // of silently answering for a weakened formula.
+        let pending = std::mem::take(&mut self.pending);
         let mut encoded = 0;
         let result = loop {
-            let Some((guard, assertion)) = self.pending.get(encoded).cloned() else {
+            let Some((guard, assertion)) = pending.get(encoded) else {
                 break Ok(());
             };
-            match self.encode_one(view, guard, assertion) {
+            match self.encode_one(view, *guard, assertion) {
                 Ok(()) => encoded += 1,
                 Err(error) => break Err(error),
             }
         };
+        self.pending = pending;
         // Everything that made it into the solver moves to the replay
         // journal, where it stays until its frame is popped (or forever, for
         // base-level assertions).
@@ -414,7 +432,7 @@ impl IncrementalContext {
         &mut self,
         view: &mut TmView<'_>,
         guard_id: Option<u64>,
-        assertion: Pending,
+        assertion: &Assertion,
     ) -> Result<()> {
         // Resolve the frame id to its *current* activation literal only now:
         // a compaction between queueing and encoding re-allocates activation
@@ -427,57 +445,17 @@ impl IncrementalContext {
                 .expect("pending entry belongs to a live frame")
                 .activation
         });
-        match assertion {
-            Pending::Term(t) => {
-                let pre = view.preprocess(
-                    t,
-                    &mut self.preprocess_cache,
-                    &mut self.stats.preprocess_cache_hits,
-                )?;
-                let tm = view.tm();
-                for &a in pre.assertions.iter().chain(pre.axioms.iter()) {
-                    if self.encoder.try_assert_blocking(tm, a, guard)? {
-                        continue;
-                    }
-                    match guard {
-                        None => self.encoder.assert_term(tm, a)?,
-                        Some(g) => {
-                            let lit = self.encoder.encode_bool(tm, a)?;
-                            self.encoder.sat().add_clause(&[!g, lit]);
-                        }
-                    }
-                }
-            }
-            Pending::XorBits(bits, rhs) => {
-                let tm = view.tm();
-                let mut lits = Vec::with_capacity(bits.len() + 1);
-                for (var, bit) in bits {
-                    self.encoder.ensure_var_bits(tm, var)?;
-                    let var_bits = self.encoder.var_bits(tm, var).ok_or_else(|| {
-                        SolverError::Internal("tracked variable has no bits".to_string())
-                    })?;
-                    let lit = *var_bits.get(bit as usize).ok_or_else(|| {
-                        SolverError::Internal(format!(
-                            "bit index {bit} out of range for hash constraint"
-                        ))
-                    })?;
-                    lits.push(lit);
-                }
-                if let Some(g) = guard {
-                    // CNF-side selector: while the frame is live, `g` forces
-                    // the slack off and the row is exactly the constraint;
-                    // after `pop` asserts `¬g` the free slack absorbs any
-                    // parity, neutralising the row.
-                    let slack = self.encoder.sat().new_var().positive();
-                    self.encoder.sat().add_clause(&[!g, !slack]);
-                    lits.push(slack);
-                }
-                let row = self.encoder.add_xor_over_lits(&lits, rhs);
-                if let (Some(row), Some(id)) = (row, guard_id) {
-                    if let Some(frame) = self.frames.iter_mut().find(|f| f.id == id) {
-                        frame.xor_rows.push(row);
-                    }
-                }
+        let row = encode_assertion(
+            &mut self.encoder,
+            view,
+            assertion,
+            guard,
+            &mut self.preprocess_cache,
+            &mut self.stats.preprocess_cache_hits,
+        )?;
+        if let (Some(row), Some(id)) = (row, guard_id) {
+            if let Some(frame) = self.frames.iter_mut().find(|f| f.id == id) {
+                frame.xor_rows.push(row);
             }
         }
         Ok(())

@@ -85,7 +85,7 @@ pub use cube::{
 };
 pub use error::{Result, SolverError};
 pub use incremental::IncrementalContext;
-pub use oracle::Oracle;
+pub use oracle::{block_model_by_terms, Oracle};
 pub use pact_sat::{InterruptFlag, SatOptions};
 pub use policy::{
     PolicyOracle, PolicyStats, POLICY_BACKENDS, POLICY_WINDOW, SLOT_CUBE, SLOT_INCREMENTAL,

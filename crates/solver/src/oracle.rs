@@ -10,11 +10,12 @@
 //!
 //! The trait mirrors the SMT-LIB command subset the counters actually use:
 //! an assertion stack (`push`/`pop`/`assert_term`), the native XOR fast path
-//! for the `H_xor` hash family, projected model extraction, and cumulative
+//! for the `H_xor` hash family, projected model extraction and blocking
+//! (`block_model`, one clause over the projection's bits), and cumulative
 //! statistics.  Implementations must be [`Send`]: the round scheduler builds
 //! one oracle per round and moves it into a worker thread.
 
-use pact_ir::{BvValue, TermId, TermManager, Value};
+use pact_ir::{BvValue, Sort, TermId, TermManager, Value};
 use pact_sat::InterruptFlag;
 
 use crate::context::{Context, OracleStats, SolverResult};
@@ -37,9 +38,11 @@ use crate::portfolio::PortfolioStats;
 /// [`Context`] is the reference implementation.  Custom oracles typically
 /// wrap it (delegating every method) to instrument, cache, or fan out
 /// queries; a from-scratch implementation only needs to honour the stack
-/// discipline above and the blocking-based enumeration pattern used by the
-/// saturating counter (repeated `check` + `assert_term` of a blocking
-/// clause within one frame).
+/// discipline above and the enumeration pattern used by the saturating
+/// counter (repeated `check` + [`Oracle::block_model`] of the model just
+/// found, within one frame).  `block_model` has a default body that asserts
+/// the blocking clause as a term, so a wrapper that does not forward it
+/// stays correct and only loses the term-free fast path.
 pub trait Oracle: Send {
     /// Pushes a new assertion-stack frame.
     fn push(&mut self);
@@ -88,6 +91,19 @@ pub trait Oracle: Send {
     /// most recent satisfying assignment, in the order given.
     fn projected_model(&self, tm: &TermManager, projection: &[TermId]) -> Option<Vec<BvValue>>;
 
+    /// Blocks a projected model in the current frame: asserts
+    /// `¬(v₁ = c₁ ∧ … ∧ vₙ = cₙ)` for the projection `vᵢ` and the model
+    /// values `cᵢ` (in [`Oracle::projected_model`]'s format), so later
+    /// checks in the frame never report that projected assignment again.
+    ///
+    /// The default body builds the blocking term and asserts it
+    /// ([`block_model_by_terms`]).  The workspace backends override it: for
+    /// boolean and bit-vector projections they queue one clause over the
+    /// variables' bit literals, with no term built and no preprocessing.
+    fn block_model(&mut self, tm: &mut TermManager, projection: &[TermId], model: &[BvValue]) {
+        block_model_by_terms(self, tm, projection, model);
+    }
+
     /// Cumulative statistics over the oracle's lifetime.
     fn stats(&self) -> OracleStats;
 
@@ -125,6 +141,65 @@ pub trait Oracle: Send {
     }
 }
 
+/// Blocks a projected model through [`Oracle::assert_term`]: builds
+/// `¬(v₁ = c₁ ∧ … ∧ vₙ = cₙ)` in `tm` and asserts it.  The default body of
+/// [`Oracle::block_model`], and the backends' fallback for projections with
+/// a bounded-integer variable.
+pub fn block_model_by_terms<O: Oracle + ?Sized>(
+    oracle: &mut O,
+    tm: &mut TermManager,
+    projection: &[TermId],
+    model: &[BvValue],
+) {
+    let mut equalities = Vec::with_capacity(projection.len());
+    for (&var, value) in projection.iter().zip(model) {
+        let equal = match tm.sort(var) {
+            Sort::Bool => {
+                let target = tm.mk_bool(value.as_u128() == 1);
+                tm.mk_eq(var, target)
+            }
+            Sort::BoundedInt { .. } => {
+                let target = tm.mk_int_const(value.as_u128() as i64);
+                // Equality requires matching sorts; compare through an
+                // integer constant of the variable's own sort via Eq on the
+                // bounded-int encoding: build `var <= c ∧ c <= var`.
+                let le = tm.mk_int_le(var, target).expect("int comparison");
+                let ge = tm.mk_int_le(target, var).expect("int comparison");
+                tm.mk_and([le, ge])
+            }
+            _ => {
+                let target = tm.mk_bv_value(*value);
+                tm.mk_eq(var, target)
+            }
+        };
+        equalities.push(equal);
+    }
+    let conj = tm.mk_and(equalities);
+    let blocking = tm.mk_not(conj);
+    oracle.assert_term(blocking);
+}
+
+/// The `(variable, value)` pairs a backend's [`Oracle::block_model`] turns
+/// into one clause, or `None` when some variable needs the term fallback
+/// (not boolean or bit-vector, or a value of the wrong width).  Boolean
+/// values are normalised as [`block_model_by_terms`] reads them, so both
+/// paths block the same assignment with the same clause.
+pub(crate) fn blocking_pairs(
+    tm: &TermManager,
+    projection: &[TermId],
+    model: &[BvValue],
+) -> Option<Vec<(TermId, BvValue)>> {
+    projection
+        .iter()
+        .zip(model)
+        .map(|(&var, &value)| match tm.sort(var) {
+            Sort::Bool => Some((var, BvValue::new(u128::from(value.as_u128() == 1), 1))),
+            Sort::BitVec(w) if w == value.width() => Some((var, value)),
+            _ => None,
+        })
+        .collect()
+}
+
 impl Oracle for Context {
     fn push(&mut self) {
         Context::push(self);
@@ -156,6 +231,10 @@ impl Oracle for Context {
 
     fn projected_model(&self, tm: &TermManager, projection: &[TermId]) -> Option<Vec<BvValue>> {
         Context::projected_model(self, tm, projection)
+    }
+
+    fn block_model(&mut self, tm: &mut TermManager, projection: &[TermId], model: &[BvValue]) {
+        Context::block_model(self, tm, projection, model);
     }
 
     fn stats(&self) -> OracleStats {
@@ -200,6 +279,10 @@ impl Oracle for IncrementalContext {
         IncrementalContext::projected_model(self, tm, projection)
     }
 
+    fn block_model(&mut self, tm: &mut TermManager, projection: &[TermId], model: &[BvValue]) {
+        IncrementalContext::block_model(self, tm, projection, model);
+    }
+
     fn stats(&self) -> OracleStats {
         IncrementalContext::stats(self)
     }
@@ -242,6 +325,12 @@ impl<O: Oracle + ?Sized> Oracle for Box<O> {
         (**self).projected_model(tm, projection)
     }
 
+    // Forwarded explicitly: the counter runs on `Box<dyn Oracle>`, and the
+    // default body would silently take the term path.
+    fn block_model(&mut self, tm: &mut TermManager, projection: &[TermId], model: &[BvValue]) {
+        (**self).block_model(tm, projection, model);
+    }
+
     fn stats(&self) -> OracleStats {
         (**self).stats()
     }
@@ -266,7 +355,6 @@ impl<O: Oracle + ?Sized> Oracle for Box<O> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pact_ir::Sort;
 
     /// Drives the reference implementation purely through the trait object
     /// surface, proving object safety and the stack discipline.

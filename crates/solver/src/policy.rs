@@ -146,6 +146,8 @@ enum JournalOp {
     AssertTerm(TermId),
     AssertXor(Vec<(TermId, u32)>, bool),
     Track(TermId),
+    /// A blocked projected model: the projection and the model's values.
+    Block(Vec<TermId>, Vec<BvValue>),
 }
 
 /// A live backend slot.  The payloads are boxed: a slot is created once
@@ -253,7 +255,7 @@ impl PolicyOracle {
         };
         // The starting route exists eagerly so a fresh oracle behaves like
         // a fresh incremental context (model queries, interrupt wiring).
-        oracle.ensure_slot(SLOT_INCREMENTAL);
+        oracle.slots[SLOT_INCREMENTAL] = Some(oracle.new_slot(SLOT_INCREMENTAL));
         oracle
     }
 
@@ -267,13 +269,9 @@ impl PolicyOracle {
         self.cube_depth
     }
 
-    /// Creates the slot if absent, replaying the journalled assertion stack
-    /// so the new backend can serve the very next check.
-    fn ensure_slot(&mut self, slot: usize) {
-        if self.slots[slot].is_some() {
-            return;
-        }
-        let mut inner = match slot {
+    /// A fresh, empty backend for `slot`.
+    fn new_slot(&self, slot: usize) -> Inner {
+        match slot {
             SLOT_REBUILD => Inner::Rebuild(Box::new(Context::with_config(self.config))),
             SLOT_INCREMENTAL => {
                 Inner::Incremental(Box::new(IncrementalContext::with_config(self.config)))
@@ -287,7 +285,16 @@ impl PolicyOracle {
                 POLICY_CUBE_WORKERS,
                 self.config,
             ))),
-        };
+        }
+    }
+
+    /// Creates the slot if absent, replaying the journalled assertion stack
+    /// so the new backend can serve the very next check.
+    fn ensure_slot(&mut self, slot: usize, tm: &mut TermManager) {
+        if self.slots[slot].is_some() {
+            return;
+        }
+        let mut inner = self.new_slot(slot);
         {
             let oracle = inner.as_dyn();
             if let Some(flag) = &self.interrupt {
@@ -304,6 +311,9 @@ impl PolicyOracle {
                             oracle.assert_xor_bits(bits.clone(), *rhs);
                         }
                         JournalOp::Track(v) => oracle.track_var(*v),
+                        JournalOp::Block(projection, model) => {
+                            oracle.block_model(tm, projection, model);
+                        }
                     }
                 }
             }
@@ -442,6 +452,14 @@ impl Oracle for PolicyOracle {
         self.fan_out(|o| o.assert_xor_bits(bits.clone(), rhs));
     }
 
+    fn block_model(&mut self, tm: &mut TermManager, projection: &[TermId], model: &[BvValue]) {
+        self.journal
+            .last_mut()
+            .expect("journal always holds the base frame")
+            .push(JournalOp::Block(projection.to_vec(), model.to_vec()));
+        self.fan_out(|o| o.block_model(tm, projection, model));
+    }
+
     fn track_var(&mut self, var: TermId) {
         self.journal
             .last_mut()
@@ -452,7 +470,7 @@ impl Oracle for PolicyOracle {
 
     fn check(&mut self, tm: &mut TermManager) -> Result<SolverResult> {
         let slot = self.route();
-        self.ensure_slot(slot);
+        self.ensure_slot(slot, tm);
         if slot != self.active {
             self.stats.switches += 1;
             self.active = slot;
@@ -601,7 +619,7 @@ mod tests {
     }
 
     /// The journal replay lets a backend engaged mid-stream serve checks
-    /// over frames asserted before it existed.
+    /// over frames asserted before it existed, blocked models included.
     #[test]
     fn late_engaged_backends_see_the_whole_stack() {
         let mut tm = TermManager::new();
@@ -611,15 +629,18 @@ mod tests {
         let mut oracle = PolicyOracle::new();
         oracle.track_var(x);
         oracle.assert_term(f);
+        oracle.block_model(&mut tm, &[x], &[BvValue::new(0, 4)]);
+        oracle.block_model(&mut tm, &[x], &[BvValue::new(1, 4)]);
         oracle.push();
         let zero = tm.mk_bv_const(0, 4);
         oracle.assert_term(tm.mk_bv_ult(x, zero).unwrap());
         assert_eq!(oracle.check(&mut tm).unwrap(), SolverResult::Unsat);
         // Force-engage the cube slot now and replay the live stack into it.
-        oracle.ensure_slot(SLOT_CUBE);
+        oracle.ensure_slot(SLOT_CUBE, &mut tm);
         oracle.pop();
         assert_eq!(oracle.check(&mut tm).unwrap(), SolverResult::Sat);
-        assert!(oracle.model_value(&tm, x).is_some());
+        let model = oracle.projected_model(&tm, &[x]).unwrap();
+        assert_eq!(model[0].as_u128(), 2, "only x = 2 is left unblocked");
     }
 
     /// Unbalanced `pop` panics with the uniform backend contract message.

@@ -61,7 +61,7 @@ use crate::context::{
 };
 use crate::error::Result;
 use crate::incremental::IncrementalContext;
-use crate::oracle::Oracle;
+use crate::oracle::{block_model_by_terms, blocking_pairs, Oracle};
 use crate::pool::{Job, PoolHandle, WorkerPool};
 
 /// What one racing job returns through the pool: the worker's slot, the
@@ -254,6 +254,13 @@ impl WorkerCtx {
         match self {
             WorkerCtx::Rebuild(c) => c.assert_xor_bits(bits, rhs),
             WorkerCtx::Incremental(c) => c.assert_xor_bits(bits, rhs),
+        }
+    }
+
+    fn block_pairs(&mut self, pairs: Vec<(TermId, BvValue)>) {
+        match self {
+            WorkerCtx::Rebuild(c) => c.block_pairs(pairs),
+            WorkerCtx::Incremental(c) => c.block_pairs(pairs),
         }
     }
 
@@ -547,6 +554,19 @@ impl Oracle for PortfolioContext {
     fn assert_xor_bits(&mut self, bits: Vec<(TermId, u32)>, rhs: bool) {
         for worker in &mut self.workers {
             worker.assert_xor_bits(bits.clone(), rhs);
+        }
+    }
+
+    fn block_model(&mut self, tm: &mut TermManager, projection: &[TermId], model: &[BvValue]) {
+        // The direct path needs no preprocessing, so it bypasses the warm
+        // cache; the term fallback re-enters through `assert_term`.
+        match blocking_pairs(tm, projection, model) {
+            Some(pairs) => {
+                for worker in &mut self.workers {
+                    worker.block_pairs(pairs.clone());
+                }
+            }
+            None => block_model_by_terms(self, tm, projection, model),
         }
     }
 
