@@ -12,7 +12,7 @@ use rand::{rngs::StdRng, SeedableRng};
 
 use pact_hash::{generate, HashFamily};
 use pact_ir::{Sort, TermManager};
-use pact_solver::Context;
+use pact_solver::IncrementalContext;
 
 fn bench_hash_query(c: &mut Criterion) {
     let mut group = c.benchmark_group("hash_constrained_query");
@@ -30,7 +30,7 @@ fn bench_hash_query(c: &mut Criterion) {
                     let c0 = tm.mk_bv_const(37 % (1 << width.min(20)), width);
                     let f = tm.mk_bv_ule(c0, sum).unwrap();
                     let mut rng = StdRng::seed_from_u64(5);
-                    let mut ctx = Context::new();
+                    let mut ctx = IncrementalContext::new();
                     ctx.track_var(x);
                     ctx.track_var(y);
                     ctx.assert_term(f);

@@ -86,15 +86,15 @@ pub fn portfolio_workers() -> usize {
 pub const CUBE_DEPTH: usize = 3;
 
 /// Which built-in oracle backend a run used (the `OracleFactory` choice):
-/// the rebuild-on-`pop` debug encoder, the activation-literal incremental
-/// encoder that survives `pop` (the default since the default flip), the
+/// the single-engine context in rebuild mode (debug) or in its default
+/// mode, whose encoder survives `pop` (the default backend), the
 /// racing portfolio that fans every `check` out to diversified workers, the
 /// cube-and-conquer backend that partitions every hard `check` into
 /// sub-solves, or the adaptive policy that re-routes each `check` across
 /// the others from observed statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
-    /// The rebuilding `Context` debug backend.
+    /// `IncrementalContext` in rebuild mode (the debug backend).
     Rebuild,
     /// The activation-literal `IncrementalContext` backend (zero rebuilds;
     /// the default).
@@ -902,9 +902,9 @@ mod tests {
         );
     }
 
-    /// Delegates to the reference [`pact::Context`] but claims a 64-worker
+    /// Delegates to the reference [`pact::IncrementalContext`] but claims a 64-worker
     /// portfolio — more than the fixed-size `wins` array can hold.
-    struct OversizedPortfolio(pact::Context);
+    struct OversizedPortfolio(pact::IncrementalContext);
 
     impl pact::Oracle for OversizedPortfolio {
         fn push(&mut self) {
@@ -966,7 +966,9 @@ mod tests {
     fn an_oversized_portfolio_report_is_clamped_and_renders() {
         let suite = tiny_suite();
         let factory = pact::OracleFactory::new(|config| {
-            Box::new(OversizedPortfolio(pact::Context::with_config(config)))
+            Box::new(OversizedPortfolio(pact::IncrementalContext::with_config(
+                config,
+            )))
         });
         let config = HarnessConfig::default()
             .counter_config(HashFamily::Xor)

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use pact_ir::logic::Logic;
-use pact_solver::{Context, SolverConfig, SolverResult};
+use pact_solver::{IncrementalContext, SolverConfig, SolverResult};
 
 use crate::generators::{generate_for_logic, GenParams};
 use crate::instance::Instance;
@@ -97,7 +97,7 @@ pub fn filter_satisfiable(instances: Vec<Instance>, budget: Duration) -> Vec<Ins
     instances
         .into_iter()
         .filter_map(|mut inst| {
-            let mut ctx = Context::with_config(SolverConfig {
+            let mut ctx = IncrementalContext::with_config(SolverConfig {
                 max_conflicts: Some(conflicts),
                 ..SolverConfig::default()
             });

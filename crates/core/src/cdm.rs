@@ -27,10 +27,12 @@ use pact_ir::{TermId, TermManager};
 use pact_solver::{Oracle, SolverResult};
 
 use crate::config::CounterConfig;
+use crate::counter::{search_boundary, Search};
 use crate::error::{CountError, CountResult};
 use crate::parallel::{run_rounds, RoundOutput};
 use crate::progress::{ProgressEvent, RunControl};
 use crate::result::{finish_report as finish, median, CountOutcome, CountReport, CountStats};
+use crate::saturating::CellCount;
 use crate::session::Session;
 
 /// Number of formula copies needed so that a factor-2 estimate of the
@@ -254,7 +256,7 @@ impl CdmRound {
 
 /// One iteration of the CDM loop: draw a prefix-closed XOR list, then find
 /// the largest prefix that still leaves the composed formula satisfiable
-/// with a galloping + binary search.
+/// with the counter's galloping + binary search.
 #[allow(clippy::too_many_arguments)]
 fn cdm_round(
     tm: &mut TermManager,
@@ -275,13 +277,11 @@ fn cdm_round(
             h.to_term(tm)
         })
         .collect();
-    let probe = |ctx: &mut dyn Oracle,
-                 tm: &mut TermManager,
-                 m: usize,
-                 stats: &mut CountStats|
-     -> CountResult<Option<bool>> {
+    // The largest non-empty prefix is one below the boundary the counter's
+    // search finds: a SAT cell counts as saturated, an UNSAT one as small.
+    let search = search_boundary(total_bits, None, |m, _| {
         if ctrl.interrupted() {
-            return Ok(None);
+            return Ok((CellCount::Unknown, Vec::new()));
         }
         let oracle_timer = Instant::now();
         ctx.push();
@@ -296,70 +296,23 @@ fn cdm_round(
             round,
             cells_in_round: stats.cells_explored,
         });
-        Ok(match verdict {
-            SolverResult::Sat => Some(true),
-            SolverResult::Unsat => Some(false),
-            SolverResult::Unknown => None,
-        })
+        let cell = match verdict {
+            SolverResult::Sat => CellCount::Saturated,
+            SolverResult::Unsat => CellCount::Exact(0),
+            SolverResult::Unknown => CellCount::Unknown,
+        };
+        Ok((cell, Vec::new()))
+    })?;
+    let (estimate, timed_out) = match search {
+        Search::Found(boundary, _) => (Some((boundary - 1) as f64 / f64::from(q)), false),
+        // Even all constraints leave a solution; use the full width.
+        Search::Failed => (Some(total_bits as f64 / f64::from(q)), false),
+        Search::Timeout => (None, true),
     };
-    // Galloping search for the largest m with a non-empty cell.
-    let mut lo = 0usize; // known SAT
-    let mut hi: Option<usize> = None; // known UNSAT
-    let mut m = 1usize;
-    loop {
-        if m > total_bits {
-            break;
-        }
-        match probe(ctx, tm, m, &mut stats)? {
-            Some(true) => {
-                lo = lo.max(m);
-                if m == total_bits {
-                    break;
-                }
-                m = (m * 2).min(total_bits);
-            }
-            Some(false) => {
-                hi = Some(m);
-                break;
-            }
-            None => {
-                return Ok(CdmRound {
-                    estimate: None,
-                    stats,
-                    timed_out: true,
-                })
-            }
-        }
-    }
-    let mut upper = match hi {
-        Some(h) => h,
-        None => {
-            // Even all constraints leave a solution; use the full width.
-            return Ok(CdmRound {
-                estimate: Some(lo as f64 / f64::from(q)),
-                stats,
-                timed_out: false,
-            });
-        }
-    };
-    while upper - lo > 1 {
-        let mid = lo + (upper - lo) / 2;
-        match probe(ctx, tm, mid, &mut stats)? {
-            Some(true) => lo = mid,
-            Some(false) => upper = mid,
-            None => {
-                return Ok(CdmRound {
-                    estimate: None,
-                    stats,
-                    timed_out: true,
-                })
-            }
-        }
-    }
     Ok(CdmRound {
-        estimate: Some(lo as f64 / f64::from(q)),
+        estimate,
         stats,
-        timed_out: false,
+        timed_out,
     })
 }
 

@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use pact_hash::HashFamily;
 use pact_solver::{
-    Context, CubeContext, IncrementalContext, Oracle, PolicyOracle, PortfolioContext, SolverConfig,
+    CubeContext, IncrementalContext, Oracle, PolicyOracle, PortfolioContext, SolverConfig,
 };
 
 use crate::error::ConfigError;
@@ -22,15 +22,16 @@ use crate::error::ConfigError;
 /// for the same run — rejected as [`ConfigError::ConflictingBackends`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendSpec {
-    /// The reference rebuild-on-`pop` backend (`Context`).  Demoted to a
-    /// debug backend since the default flip: it pays a full encoder rebuild
-    /// on every `pop`, which the incremental backend eliminates, so select
-    /// it explicitly only to reproduce the paper's baseline work profile.
+    /// `IncrementalContext` in rebuild mode
+    /// (`IncrementalContext::rebuilding`): every `pop` that retired encoded
+    /// assertions makes the next `check` re-encode the live frames into a
+    /// fresh solver.  A debug backend: select it explicitly only to
+    /// reproduce the work profile of an oracle that rebuilds on `pop`.
     Rebuild,
-    /// The activation-literal backend whose encoder survives `pop`
-    /// (`IncrementalContext`; zero rebuilds).  The default backend: it
-    /// dominates `rebuild` on every observed signal while staying
-    /// single-engine and deterministic.
+    /// `IncrementalContext` in its default mode, whose encoder survives
+    /// `pop` (zero rebuilds).  The default backend: it dominates `rebuild`
+    /// on every observed signal while staying single-engine and
+    /// deterministic.
     #[default]
     Incremental,
     /// The racing-portfolio backend (`PortfolioContext`).
@@ -141,35 +142,31 @@ impl std::str::FromStr for BackendSpec {
 /// compile-time assertion next to this type, so a non-thread-safe variant
 /// cannot be added by accident.
 ///
-/// The default factory builds the activation-literal
-/// [`IncrementalContext`] (the rebuilding [`Context`] is the explicit
-/// `rebuild` debug backend since the default flip); the other built-in
-/// backends are selected declaratively through [`OracleFactory::from_spec`]
-/// (see [`BackendSpec`] for the choices); tests and alternative backends
-/// swap in their own with [`OracleFactory::new`] (see `tests/session.rs`
-/// for an instrumented example).
-#[derive(Clone, Default)]
+/// The default factory builds [`IncrementalContext`] in its default mode
+/// (rebuild mode is the explicit `rebuild` debug backend); the other
+/// built-in backends are selected declaratively through
+/// [`OracleFactory::from_spec`] (see [`BackendSpec`] for the choices);
+/// tests and alternative backends swap in their own with
+/// [`OracleFactory::new`] (see `tests/session.rs` for an instrumented
+/// example).
+#[derive(Clone)]
 pub struct OracleFactory {
     backend: Backend,
 }
 
 /// Which constructor an [`OracleFactory`] runs.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 enum Backend {
-    /// The reference rebuild-on-`pop` backend (debug).
-    Rebuild,
-    /// The activation-literal backend that survives `pop` (the default).
-    #[default]
-    Incremental,
-    /// The racing-portfolio backend with this many diversified workers.
-    Portfolio(usize),
-    /// The cube-and-conquer backend with this split depth and this many
-    /// conquering workers.
-    Cube(usize, usize),
-    /// The adaptive policy backend routing each check across the others.
-    Adaptive,
+    /// A built-in backend.
+    Spec(BackendSpec),
     /// A user-supplied constructor closure.
     Custom(Arc<BuildOracleFn>),
+}
+
+impl Default for OracleFactory {
+    fn default() -> Self {
+        OracleFactory::from_spec(BackendSpec::default())
+    }
 }
 
 /// The constructor closure an [`OracleFactory`] stores.
@@ -187,9 +184,9 @@ impl OracleFactory {
     /// The factory a [`BackendSpec`] describes — the one mapping from the
     /// declarative spec onto a constructor.
     ///
-    /// [`BackendSpec::Incremental`] selects the activation-literal
-    /// [`IncrementalContext`] whose encoder survives `pop` (zero rebuilds
-    /// across the galloping search).  [`BackendSpec::Portfolio`] fans every
+    /// [`BackendSpec::Incremental`] selects [`IncrementalContext`], whose
+    /// encoder survives `pop` (zero rebuilds across the galloping search),
+    /// and [`BackendSpec::Rebuild`] the same context in rebuild mode.  [`BackendSpec::Portfolio`] fans every
     /// `check` out to diversified racing workers (clamped to
     /// `1..=`[`pact_solver::MAX_PORTFOLIO_WORKERS`]).  [`BackendSpec::Cube`]
     /// partitions hard checks into up to `2^depth` cubes conquered by
@@ -202,25 +199,16 @@ impl OracleFactory {
     /// wins, splits, switches — see [`CountStats`](crate::CountStats))
     /// changes.
     pub fn from_spec(spec: BackendSpec) -> Self {
-        let backend = match spec {
-            BackendSpec::Rebuild => Backend::Rebuild,
-            BackendSpec::Incremental => Backend::Incremental,
-            BackendSpec::Portfolio { workers } => Backend::Portfolio(workers),
-            BackendSpec::Cube { depth, workers } => Backend::Cube(depth, workers),
-            BackendSpec::Adaptive => Backend::Adaptive,
-        };
-        OracleFactory { backend }
+        OracleFactory {
+            backend: Backend::Spec(spec),
+        }
     }
 
     /// The spec this factory was built from, or `None` for a custom
     /// constructor closure (which no spec can describe).
     pub fn spec(&self) -> Option<BackendSpec> {
         match self.backend {
-            Backend::Rebuild => Some(BackendSpec::Rebuild),
-            Backend::Incremental => Some(BackendSpec::Incremental),
-            Backend::Portfolio(workers) => Some(BackendSpec::Portfolio { workers }),
-            Backend::Cube(depth, workers) => Some(BackendSpec::Cube { depth, workers }),
-            Backend::Adaptive => Some(BackendSpec::Adaptive),
+            Backend::Spec(spec) => Some(spec),
             Backend::Custom(_) => None,
         }
     }
@@ -228,59 +216,29 @@ impl OracleFactory {
     /// Builds one oracle with the given resource limits.
     pub fn build(&self, config: SolverConfig) -> Box<dyn Oracle> {
         match &self.backend {
-            Backend::Rebuild => Box::new(Context::with_config(config)),
-            Backend::Incremental => Box::new(IncrementalContext::with_config(config)),
-            Backend::Portfolio(workers) => {
+            Backend::Spec(BackendSpec::Rebuild) => Box::new(IncrementalContext::rebuilding(config)),
+            Backend::Spec(BackendSpec::Incremental) => {
+                Box::new(IncrementalContext::with_config(config))
+            }
+            Backend::Spec(BackendSpec::Portfolio { workers }) => {
                 Box::new(PortfolioContext::with_config(*workers, config))
             }
-            Backend::Cube(depth, workers) => {
+            Backend::Spec(BackendSpec::Cube { depth, workers }) => {
                 Box::new(CubeContext::with_config(*depth, *workers, config))
             }
-            Backend::Adaptive => Box::new(PolicyOracle::with_config(config)),
+            Backend::Spec(BackendSpec::Adaptive) => Box::new(PolicyOracle::with_config(config)),
             Backend::Custom(build) => build(config),
         }
-    }
-
-    /// Whether this is the default backend (the incremental engine, since
-    /// the default flip away from `rebuild`) — i.e. whether this factory
-    /// equals [`OracleFactory::default()`].
-    pub fn is_default(&self) -> bool {
-        matches!(self.backend, Backend::Incremental)
-    }
-
-    /// Whether this is the built-in rebuilding [`Context`] debug backend.
-    pub fn is_rebuild(&self) -> bool {
-        matches!(self.backend, Backend::Rebuild)
-    }
-
-    /// Whether this is the built-in [`IncrementalContext`] backend.
-    pub fn is_incremental(&self) -> bool {
-        matches!(self.backend, Backend::Incremental)
-    }
-
-    /// Whether this is the built-in [`PortfolioContext`] backend.
-    pub fn is_portfolio(&self) -> bool {
-        matches!(self.backend, Backend::Portfolio(_))
-    }
-
-    /// Whether this is the built-in [`CubeContext`] backend.
-    pub fn is_cube(&self) -> bool {
-        matches!(self.backend, Backend::Cube(_, _))
-    }
-
-    /// Whether this is the adaptive [`PolicyOracle`] backend.
-    pub fn is_adaptive(&self) -> bool {
-        matches!(self.backend, Backend::Adaptive)
     }
 
     /// Short backend name for reports and benchmark columns.
     pub fn label(&self) -> &'static str {
         match self.backend {
-            Backend::Rebuild => "rebuild",
-            Backend::Incremental => "incremental",
-            Backend::Portfolio(_) => "portfolio",
-            Backend::Cube(_, _) => "cube",
-            Backend::Adaptive => "adaptive",
+            Backend::Spec(BackendSpec::Rebuild) => "rebuild",
+            Backend::Spec(BackendSpec::Incremental) => "incremental",
+            Backend::Spec(BackendSpec::Portfolio { .. }) => "portfolio",
+            Backend::Spec(BackendSpec::Cube { .. }) => "cube",
+            Backend::Spec(BackendSpec::Adaptive) => "adaptive",
             Backend::Custom(_) => "custom",
         }
     }
@@ -293,15 +251,11 @@ impl fmt::Debug for OracleFactory {
 }
 
 impl PartialEq for OracleFactory {
-    /// The built-in backends compare by kind (and parameters); custom
-    /// factories compare by closure identity.
+    /// The built-in backends compare by spec; custom factories compare by
+    /// closure identity.
     fn eq(&self, other: &Self) -> bool {
         match (&self.backend, &other.backend) {
-            (Backend::Rebuild, Backend::Rebuild) => true,
-            (Backend::Incremental, Backend::Incremental) => true,
-            (Backend::Portfolio(a), Backend::Portfolio(b)) => a == b,
-            (Backend::Cube(d1, w1), Backend::Cube(d2, w2)) => d1 == d2 && w1 == w2,
-            (Backend::Adaptive, Backend::Adaptive) => true,
+            (Backend::Spec(a), Backend::Spec(b)) => a == b,
             (Backend::Custom(a), Backend::Custom(b)) => Arc::ptr_eq(a, b),
             _ => false,
         }
@@ -399,7 +353,7 @@ pub struct CounterConfig {
     pub parallel: ParallelConfig,
     /// Which [`Oracle`] backend the run builds — once for the base context
     /// and once per scheduled round, so parallel rounds each get their own
-    /// oracle.  Defaults to the workspace's [`Context`].
+    /// oracle.  Defaults to the workspace's [`IncrementalContext`].
     pub oracle_factory: OracleFactory,
 }
 
@@ -463,7 +417,7 @@ impl CounterConfig {
     }
 
     /// Returns a copy building its oracles through `factory` instead of the
-    /// default [`Context`] backend.
+    /// default [`IncrementalContext`] backend.
     pub fn with_oracle_factory(mut self, factory: OracleFactory) -> Self {
         self.oracle_factory = factory;
         self
@@ -567,22 +521,22 @@ mod tests {
         // Two default configs are equal (both build the incremental
         // backend since the default flip)...
         assert_eq!(CounterConfig::default(), CounterConfig::default());
-        assert!(CounterConfig::default().oracle_factory.is_default());
-        assert!(CounterConfig::default().oracle_factory.is_incremental());
+        assert_eq!(
+            CounterConfig::default().oracle_factory.spec(),
+            Some(BackendSpec::Incremental)
+        );
         // ...as are two rebuild factories (same built-in debug backend),
         // which no longer equal the default...
         let rebuild = || OracleFactory::from_spec(BackendSpec::Rebuild);
         assert_eq!(rebuild(), rebuild());
         assert_ne!(rebuild(), OracleFactory::default());
-        assert!(rebuild().is_rebuild());
-        assert!(!rebuild().is_default());
+        assert_eq!(rebuild().spec(), Some(BackendSpec::Rebuild));
         // ...while a custom factory equals its clones but not an unrelated
         // one.
-        let custom = OracleFactory::new(|cfg| Box::new(Context::with_config(cfg)));
+        let custom = OracleFactory::new(|cfg| Box::new(IncrementalContext::with_config(cfg)));
         assert_eq!(custom.clone(), custom);
         assert_ne!(custom, OracleFactory::default());
         assert_ne!(custom, rebuild());
-        assert!(!custom.is_default());
         let mut oracle = custom.build(SolverConfig::default());
         assert_eq!(oracle.stats().checks, 0);
         oracle.push();
@@ -669,7 +623,7 @@ mod tests {
             assert_eq!(OracleFactory::from_spec(spec).spec(), Some(spec));
         }
         // A custom closure has no spec.
-        let custom = OracleFactory::new(|cfg| Box::new(Context::with_config(cfg)));
+        let custom = OracleFactory::new(|cfg| Box::new(IncrementalContext::with_config(cfg)));
         assert_eq!(custom.spec(), None);
         // The default spec builds the default factory.
         assert_eq!(
@@ -681,11 +635,11 @@ mod tests {
     #[test]
     fn backend_selection_round_trips_through_the_config() {
         let rebuild = CounterConfig::default().with_backend(BackendSpec::Rebuild);
-        assert!(rebuild.oracle_factory.is_rebuild());
-        assert!(!rebuild.oracle_factory.is_default());
+        assert_eq!(rebuild.oracle_factory.spec(), Some(BackendSpec::Rebuild));
+        assert_ne!(rebuild.oracle_factory, OracleFactory::default());
         assert_eq!(rebuild.oracle_factory.label(), "rebuild");
         let back = rebuild.with_backend(BackendSpec::Incremental);
-        assert!(back.oracle_factory.is_default());
+        assert_eq!(back.oracle_factory, OracleFactory::default());
         assert_eq!(back.oracle_factory.label(), "incremental");
         assert_eq!(back, CounterConfig::default());
         // The default (incremental) factory builds a working oracle with
@@ -699,8 +653,7 @@ mod tests {
     #[test]
     fn adaptive_selection_round_trips_through_the_config() {
         let adaptive = CounterConfig::default().with_backend(BackendSpec::Adaptive);
-        assert!(adaptive.oracle_factory.is_adaptive());
-        assert!(!adaptive.oracle_factory.is_default());
+        assert_eq!(adaptive.oracle_factory.spec(), Some(BackendSpec::Adaptive));
         assert_eq!(adaptive.oracle_factory.label(), "adaptive");
         // The factory builds a working oracle that reports its routing
         // accounting; a fresh one has made no decisions yet.
@@ -719,8 +672,10 @@ mod tests {
     fn portfolio_selection_round_trips_through_the_config() {
         let portfolio =
             CounterConfig::default().with_backend(BackendSpec::Portfolio { workers: 3 });
-        assert!(portfolio.oracle_factory.is_portfolio());
-        assert!(!portfolio.oracle_factory.is_default());
+        assert_eq!(
+            portfolio.oracle_factory.spec(),
+            Some(BackendSpec::Portfolio { workers: 3 })
+        );
         assert_eq!(portfolio.oracle_factory.label(), "portfolio");
         // Portfolio factories compare by worker count.
         let portfolio_of = |workers| OracleFactory::from_spec(BackendSpec::Portfolio { workers });
@@ -750,8 +705,13 @@ mod tests {
             depth: 3,
             workers: 2,
         });
-        assert!(cube.oracle_factory.is_cube());
-        assert!(!cube.oracle_factory.is_default());
+        assert_eq!(
+            cube.oracle_factory.spec(),
+            Some(BackendSpec::Cube {
+                depth: 3,
+                workers: 2
+            })
+        );
         assert_eq!(cube.oracle_factory.label(), "cube");
         // Cube factories compare by (depth, workers).
         let cube_of =

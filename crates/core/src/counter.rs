@@ -423,7 +423,7 @@ fn one_round(
 }
 
 /// What a boundary search concluded.
-enum Search {
+pub(crate) enum Search {
     /// The boundary prefix length and its cell's models.
     Found(usize, Vec<Model>),
     /// Even the full hash list leaves a big cell.
@@ -478,7 +478,11 @@ where
 /// binary-searches below `start − 1`.  Saturation is monotone in the prefix
 /// length, so the boundary, and hence the estimate, does not depend on the
 /// start; only the number of cells measured does.
-fn search_boundary<F>(max_hashes: usize, start: Option<usize>, measure: F) -> CountResult<Search>
+pub(crate) fn search_boundary<F>(
+    max_hashes: usize,
+    start: Option<usize>,
+    measure: F,
+) -> CountResult<Search>
 where
     F: FnMut(usize, &[Model]) -> CountResult<(CellCount, Vec<Model>)>,
 {

@@ -88,6 +88,5 @@ pub use session::{Session, SessionBuilder};
 // custom oracle backends).
 pub use pact_hash::HashFamily;
 pub use pact_solver::{
-    Context, CubeContext, IncrementalContext, Oracle, OracleStats, SolverConfig, SolverError,
-    SolverResult,
+    CubeContext, IncrementalContext, Oracle, OracleStats, SolverConfig, SolverError, SolverResult,
 };

@@ -136,7 +136,7 @@ where
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<pact_ir::TermManager>();
-    assert_send::<pact_solver::Context>();
+    assert_send::<pact_solver::IncrementalContext>();
     assert_send::<pact_solver::SolverError>();
     assert_send::<crate::result::CountStats>();
 };

@@ -101,23 +101,12 @@ pub fn saturating_count_ctl<O: Oracle + ?Sized>(
     }
 }
 
-/// Asserts `¬(S = model)` so the same projected assignment is not found
-/// again: [`Oracle::block_model`] under the name the enumeration tests use.
-pub fn block_projected_model<O: Oracle + ?Sized>(
-    ctx: &mut O,
-    tm: &mut TermManager,
-    projection: &[TermId],
-    model: &[BvValue],
-) {
-    ctx.block_model(tm, projection, model);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::progress::CancellationToken;
     use pact_ir::Sort;
-    use pact_solver::{Context, IncrementalContext};
+    use pact_solver::{IncrementalContext, SolverConfig};
     use std::time::Instant;
 
     fn small_instance(tm: &mut TermManager) -> (TermId, TermId) {
@@ -132,7 +121,7 @@ mod tests {
     fn counts_exactly_below_threshold() {
         let mut tm = TermManager::new();
         let (x, f) = small_instance(&mut tm);
-        let mut ctx = Context::new();
+        let mut ctx = IncrementalContext::new();
         ctx.track_var(x);
         ctx.assert_term(f);
         let (c, models) = saturating_count_ctl(
@@ -153,7 +142,7 @@ mod tests {
     fn saturates_at_threshold() {
         let mut tm = TermManager::new();
         let (x, f) = small_instance(&mut tm);
-        let mut ctx = Context::new();
+        let mut ctx = IncrementalContext::new();
         ctx.track_var(x);
         ctx.assert_term(f);
         let c = saturating_count_ctl(
@@ -175,7 +164,7 @@ mod tests {
         let x = tm.mk_var("x", Sort::BitVec(4));
         let zero = tm.mk_bv_const(0, 4);
         let f = tm.mk_bv_ult(x, zero).unwrap();
-        let mut ctx = Context::new();
+        let mut ctx = IncrementalContext::new();
         ctx.track_var(x);
         ctx.assert_term(f);
         let c = saturating_count_ctl(
@@ -200,7 +189,7 @@ mod tests {
         let c1 = tm.mk_bv_const(3, 2);
         let g = tm.mk_bv_ule(y, c1).unwrap();
         let both = tm.mk_and([f, g]);
-        let mut ctx = Context::new();
+        let mut ctx = IncrementalContext::new();
         ctx.track_var(x);
         ctx.assert_term(both);
         let c = saturating_count_ctl(
@@ -230,7 +219,7 @@ mod tests {
         let one = tm.mk_real_const(pact_ir::Rational::ONE);
         let f2 = tm.mk_real_lt(zero, r).unwrap();
         let f3 = tm.mk_real_lt(r, one).unwrap();
-        let mut ctx = Context::new();
+        let mut ctx = IncrementalContext::new();
         ctx.track_var(b);
         for f in [f1, f2, f3] {
             ctx.assert_term(f);
@@ -252,7 +241,7 @@ mod tests {
     fn deadline_in_the_past_reports_unknown() {
         let mut tm = TermManager::new();
         let (x, f) = small_instance(&mut tm);
-        let mut ctx = Context::new();
+        let mut ctx = IncrementalContext::new();
         ctx.track_var(x);
         ctx.assert_term(f);
         let past = Instant::now();
@@ -273,7 +262,7 @@ mod tests {
     fn cancelled_token_reports_unknown() {
         let mut tm = TermManager::new();
         let (x, f) = small_instance(&mut tm);
-        let mut ctx = Context::new();
+        let mut ctx = IncrementalContext::new();
         ctx.track_var(x);
         ctx.assert_term(f);
         let token = CancellationToken::new();
@@ -296,7 +285,7 @@ mod tests {
         let three = tm.mk_bv_const(3, 3);
         let f1 = tm.mk_bv_ult(x, two).unwrap();
         let f2 = tm.mk_bv_ult(y, three).unwrap();
-        let mut ctx = Context::new();
+        let mut ctx = IncrementalContext::new();
         ctx.track_var(x);
         ctx.track_var(y);
         ctx.assert_term(f1);
@@ -373,7 +362,9 @@ mod tests {
 
     #[test]
     fn known_models_are_reused_on_the_rebuild_backend() {
-        seeded_measurement_saves_the_known_models(Context::new);
+        seeded_measurement_saves_the_known_models(|| {
+            IncrementalContext::rebuilding(SolverConfig::default())
+        });
     }
 
     #[test]

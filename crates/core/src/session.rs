@@ -513,7 +513,13 @@ mod tests {
             })
             .build()
             .unwrap();
-        assert!(session.config().oracle_factory.is_cube());
+        assert_eq!(
+            session.config().oracle_factory.spec(),
+            Some(BackendSpec::Cube {
+                depth: 3,
+                workers: 2
+            })
+        );
     }
 
     #[test]
@@ -529,7 +535,10 @@ mod tests {
             .backend(BackendSpec::Incremental)
             .build()
             .unwrap();
-        assert!(session.config().oracle_factory.is_incremental());
+        assert_eq!(
+            session.config().oracle_factory.spec(),
+            Some(BackendSpec::Incremental)
+        );
     }
 
     #[test]
@@ -600,7 +609,10 @@ mod tests {
             .backend(BackendSpec::Incremental)
             .build()
             .unwrap();
-        assert!(session.config().oracle_factory.is_incremental());
+        assert_eq!(
+            session.config().oracle_factory.spec(),
+            Some(BackendSpec::Incremental)
+        );
         let report = session.count().unwrap();
         assert!(matches!(report.outcome, CountOutcome::Approximate { .. }));
         // The whole galloping search ran without a single encoder rebuild.
@@ -627,7 +639,10 @@ mod tests {
             .backend(BackendSpec::Portfolio { workers: 3 })
             .build()
             .unwrap();
-        assert!(session.config().oracle_factory.is_portfolio());
+        assert_eq!(
+            session.config().oracle_factory.spec(),
+            Some(BackendSpec::Portfolio { workers: 3 })
+        );
         let report = session.count().unwrap();
         assert!(matches!(report.outcome, CountOutcome::Approximate { .. }));
         // Winner accounting: every check was credited, across 3 workers.
@@ -664,7 +679,13 @@ mod tests {
             })
             .build()
             .unwrap();
-        assert!(session.config().oracle_factory.is_cube());
+        assert_eq!(
+            session.config().oracle_factory.spec(),
+            Some(BackendSpec::Cube {
+                depth: 3,
+                workers: 2
+            })
+        );
         let report = session.count().unwrap();
         assert!(matches!(report.outcome, CountOutcome::Approximate { .. }));
         // Cube accounting reached the merged stats: checks were split, and

@@ -322,7 +322,7 @@ pub fn generate(
 mod tests {
     use super::*;
     use pact_ir::{Sort, Value};
-    use pact_solver::{Context, SolverResult};
+    use pact_solver::{IncrementalContext, SolverResult};
     use rand::SeedableRng;
 
     fn rng(seed: u64) -> StdRng {
@@ -422,7 +422,7 @@ mod tests {
         let x = tm.mk_var("x", Sort::BitVec(4));
         let mut r = rng(3);
         let h = generate(&tm, &[x], 1, HashFamily::Xor, &mut r);
-        let mut ctx = Context::new();
+        let mut ctx = IncrementalContext::new();
         ctx.track_var(x);
         h.assert_into(&mut ctx, &mut tm);
         // Enumerate all models; each must satisfy the hash, and the projected
@@ -462,7 +462,7 @@ mod tests {
         for family in [HashFamily::Prime, HashFamily::Shift] {
             let mut r = rng(19);
             let h = generate(&tm, &[x], 2, family, &mut r);
-            let mut ctx = Context::new();
+            let mut ctx = IncrementalContext::new();
             ctx.track_var(x);
             h.assert_into(&mut ctx, &mut tm);
             let expected: u32 = (0..16u128)

@@ -94,7 +94,7 @@ pub struct CountRequest {
 
 impl CountRequest {
     /// Starts a request over the given term manager, with the engine's
-    /// default strategy ([`CounterConfig::default`], rebuild backend, no
+    /// default strategy ([`CounterConfig::default`], incremental backend, no
     /// deadline, [`Priority::Normal`]).
     pub fn new(tm: TermManager) -> Self {
         let defaults = CounterConfig::default();
@@ -520,7 +520,10 @@ mod tests {
         assert_eq!(config.seed, 9);
         assert_eq!(config.iterations_override, Some(5));
         assert_eq!(config.deadline, Some(Duration::from_secs(1)));
-        assert!(config.oracle_factory.is_incremental());
+        assert_eq!(
+            config.oracle_factory.spec(),
+            Some(pact::BackendSpec::Incremental)
+        );
     }
 
     #[test]

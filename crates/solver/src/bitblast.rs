@@ -6,8 +6,8 @@
 //! a constant is encoded linearly (`Encoder::bv_divrem_const`).  Continuous
 //! atoms (real and relaxed floating-point comparisons) become fresh boolean
 //! abstraction literals whose theory meaning is recorded as
-//! [`TheoryAtom`]s; the lazy DPLL(T) loop in [`crate::Context`] checks their
-//! conjunction with the simplex core.
+//! [`TheoryAtom`]s; the lazy DPLL(T) loop of [`crate::IncrementalContext`]
+//! checks their conjunction with the simplex core.
 
 use pact_ir::fxhash::FxHashMap;
 use pact_ir::{BvValue, Op, Sort, TermId, TermManager};

@@ -1,15 +1,15 @@
-//! The incremental SMT oracle used by the counting algorithms.
+//! The oracle's shared vocabulary — verdicts, resource limits, statistics,
+//! the assertion enum and its encoder, and the preprocessing cache — used by
+//! the single-engine [`IncrementalContext`](crate::IncrementalContext) and
+//! the parallel front-ends built from it.
 
 use std::collections::HashMap;
 
-use pact_ir::{BvValue, Rational, TermId, TermManager, Value};
-use pact_sat::{InterruptFlag, Lit, SatOptions};
+use pact_ir::{BvValue, TermId, TermManager};
+use pact_sat::Lit;
 
 use crate::bitblast::Encoder;
-use crate::dpllt::solve_with_theory;
 use crate::error::{Result, SolverError};
-use crate::model;
-use crate::oracle::{block_model_by_terms, blocking_pairs};
 use crate::preprocess::{preprocess, Preprocessed};
 
 /// Preprocessing results keyed by the raw asserted term, computed once by
@@ -124,7 +124,7 @@ impl TmView<'_> {
     }
 }
 
-/// Verdict of a [`Context::check`] call.
+/// Verdict of an [`Oracle::check`](crate::Oracle::check) call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolverResult {
     /// Satisfiable; a model is available.
@@ -169,10 +169,13 @@ pub struct OracleStats {
     pub theory_checks: u64,
     /// Number of theory-refinement lemmas learnt.
     pub theory_lemmas: u64,
-    /// Number of encoder rebuilds — from `pop` discarding encoded frames or
-    /// from `track_var` after a first encode.  A rebuild throws away the
-    /// learnt clauses and branching activities of the previous encoder, so
-    /// this is the headline cost the incremental backend eliminates.
+    /// Number of encoder rebuilds: rebuild mode's `pop`s that retired
+    /// encoded assertions and so armed a re-encode of the live frames at
+    /// the next `check` (counted at the `pop`; a `pop` while one is already
+    /// armed adds nothing).  A rebuild
+    /// throws away the learnt clauses and branching activities of the
+    /// previous encoder, so this is the headline cost the default
+    /// (incremental) mode eliminates.
     pub rebuilds: u64,
     /// Number of CDCL conflicts spent across the oracle's lifetime
     /// (including solvers discarded by rebuilds).
@@ -184,15 +187,15 @@ pub struct OracleStats {
     /// Number of frame-garbage compactions: an incremental engine re-encoded
     /// its live frames into a fresh solver because retired activation-literal
     /// frames had accumulated past the dead-fraction threshold.  Unlike
-    /// `rebuilds` this is *elective* maintenance — the engine still never
+    /// `rebuilds` this is *elective* maintenance — the default mode never
     /// rebuilds on `pop`.
     pub compactions: u64,
     /// Guarded assertions (clauses and XOR rows) of retired frames reclaimed
     /// by compactions.
     pub dead_clauses_reclaimed: u64,
     /// Preprocessing results served from a term-id-keyed cache instead of
-    /// being recomputed: per-context memoization on re-encodes (rebuild
-    /// replays, compaction journal replays) plus, for the parallel
+    /// being recomputed: per-context memoization on re-encodes (rebuild and
+    /// compaction journal replays) plus, for the parallel
     /// backends, warm-cache hits when a hash-consed assertion recurs across
     /// checks.
     pub preprocess_cache_hits: u64,
@@ -240,7 +243,7 @@ pub(crate) enum Assertion {
 }
 
 /// Encodes one assertion into `encoder`, guarded by the activation literal
-/// `guard` when given (the incremental backend's frames).  Returns the
+/// `guard` when given (an assertion inside a frame).  Returns the
 /// engine id of a stored native XOR row, so a frame can retire it.
 pub(crate) fn encode_assertion(
     encoder: &mut Encoder,
@@ -288,261 +291,11 @@ pub(crate) fn encode_assertion(
     }
 }
 
-/// The incremental SMT oracle: an assertion stack with push/pop, `check`,
-/// and model extraction, in the style of the SMT-LIB command set.
-///
-/// Internally the discrete part is bit-blasted eagerly into a CDCL solver
-/// with native XOR support, and real/float atoms are refined lazily against
-/// a simplex core (DPLL(T)).  Within one stack frame the encoding is
-/// incremental: new assertions only append clauses, so the repeated
-/// model-blocking queries issued by `SaturatingCounter` reuse all previously
-/// learnt clauses, mirroring the paper's use of CVC5's incremental mode.
-///
-/// ```
-/// use pact_ir::{TermManager, Sort};
-/// use pact_solver::{Context, SolverResult};
-///
-/// let mut tm = TermManager::new();
-/// let x = tm.mk_var("x", Sort::BitVec(8));
-/// let c = tm.mk_bv_const(10, 8);
-/// let f = tm.mk_bv_ult(x, c).unwrap();
-/// let mut ctx = Context::new();
-/// ctx.assert_term(f);
-/// assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
-/// let v = ctx.model_value(&tm, x).unwrap();
-/// assert!(v.as_bv().unwrap().as_u128() < 10);
-/// ```
-#[derive(Debug, Default)]
-pub struct Context {
-    assertions: Vec<Assertion>,
-    frames: Vec<usize>,
-    config: SolverConfig,
-    stats: OracleStats,
-    /// Variables whose bits must always exist (projection variables).
-    tracked_vars: Vec<TermId>,
-    encoder: Option<Encoder>,
-    /// Number of assertions already encoded into `encoder`.
-    encoded_up_to: usize,
-    /// Simplex witness (indexed by LRA variable) from the last SAT check.
-    real_model_values: Vec<Rational>,
-    /// Conflicts spent by encoders that were discarded in rebuilds (added to
-    /// the live solver's count when reporting [`OracleStats::conflicts`]).
-    retired_conflicts: u64,
-    /// SAT-level diversification options every (re)built encoder uses.
-    sat_options: SatOptions,
-    /// Interrupt flags re-installed into every (re)built encoder's solver.
-    interrupts: Vec<InterruptFlag>,
-    /// Term-id-keyed preprocessing memo.  Never invalidated: a term id is
-    /// immutable for the life of its manager lineage, so a rebuild replay
-    /// re-encodes from this cache instead of re-running preprocessing.
-    preprocess_cache: PreprocessCache,
-}
-
-impl Context {
-    /// Creates an oracle with default limits.
-    pub fn new() -> Self {
-        Context::default()
-    }
-
-    /// Creates an oracle with the given resource limits.
-    pub fn with_config(config: SolverConfig) -> Self {
-        Context {
-            config,
-            ..Context::default()
-        }
-    }
-
-    /// Creates an oracle with the given resource limits and SAT-level
-    /// diversification options (a portfolio worker's constructor).
-    pub(crate) fn with_config_and_options(config: SolverConfig, sat_options: SatOptions) -> Self {
-        Context {
-            config,
-            sat_options,
-            ..Context::default()
-        }
-    }
-
-    /// Replaces the interrupt flags watched by the underlying SAT solver
-    /// (re-installed across rebuilds); an empty list removes them.
-    pub(crate) fn set_interrupt_flags(&mut self, flags: Vec<InterruptFlag>) {
-        self.interrupts = flags;
-        if let Some(encoder) = self.encoder.as_mut() {
-            encoder.sat().set_interrupts(self.interrupts.clone());
-        }
-    }
-
-    /// Cumulative statistics.
-    pub fn stats(&self) -> OracleStats {
-        let mut stats = self.stats;
-        stats.conflicts = self.retired_conflicts
-            + self
-                .encoder
-                .as_ref()
-                .map(|e| e.sat_stats().conflicts)
-                .unwrap_or(0);
-        stats
-    }
-
-    /// Discards the current encoder (counting the rebuild and banking its
-    /// conflict count) so the next `check` re-encodes from scratch.
-    fn discard_encoder(&mut self) {
-        if let Some(encoder) = self.encoder.take() {
-            self.retired_conflicts += encoder.sat_stats().conflicts;
-            self.stats.rebuilds += 1;
-            self.encoded_up_to = 0;
-        }
-    }
-
-    /// Changes the resource limits for subsequent checks.
-    pub fn set_config(&mut self, config: SolverConfig) {
-        self.config = config;
-    }
-
-    /// Pushes a new assertion-stack frame.
-    pub fn push(&mut self) {
-        self.frames.push(self.assertions.len());
-    }
-
-    /// Pops the most recent frame, discarding its assertions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if there is no frame to pop.
-    pub fn pop(&mut self) {
-        let mark = self.frames.pop().expect("pop without matching push");
-        if mark < self.encoded_up_to {
-            // Anything already encoded beyond the mark forces a rebuild.
-            self.discard_encoder();
-        }
-        self.assertions.truncate(mark);
-    }
-
-    /// Asserts a boolean term.
-    pub fn assert_term(&mut self, t: TermId) {
-        self.assertions.push(Assertion::Term(t));
-    }
-
-    /// Asserts a native XOR constraint over individual bits of discrete
-    /// variables: `⊕ bit ⊕ ... = rhs`.
-    ///
-    /// This is the fast path used by the `H_xor` hash family.
-    pub fn assert_xor_bits(&mut self, bits: Vec<(TermId, u32)>, rhs: bool) {
-        self.assertions.push(Assertion::XorBits(bits, rhs));
-    }
-
-    /// Blocks a projected model (see [`crate::Oracle::block_model`]):
-    /// boolean and bit-vector projections are queued as one clause over
-    /// their bits, anything else falls back to [`block_model_by_terms`].
-    pub fn block_model(&mut self, tm: &mut TermManager, projection: &[TermId], model: &[BvValue]) {
-        match blocking_pairs(tm, projection, model) {
-            Some(pairs) => self.block_pairs(pairs),
-            None => block_model_by_terms(self, tm, projection, model),
-        }
-    }
-
-    /// Queues an already-validated blocked model (a portfolio worker's
-    /// share of [`Context::block_model`]).
-    pub(crate) fn block_pairs(&mut self, pairs: Vec<(TermId, BvValue)>) {
-        self.assertions.push(Assertion::Block(pairs));
-    }
-
-    /// Declares a variable whose bits must exist in every encoding, even if
-    /// it never occurs in an assertion (used for projection variables so the
-    /// model and the hash constraints range over their full domain).
-    pub fn track_var(&mut self, var: TermId) {
-        if !self.tracked_vars.contains(&var) {
-            self.tracked_vars.push(var);
-            // Force re-encoding so the tracked variable's bits exist.  This
-            // is a full rebuild like `pop`'s and is accounted identically.
-            self.discard_encoder();
-        }
-    }
-
-    /// Checks satisfiability of the current assertion stack.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolverError::Unsupported`] when the formula falls outside
-    /// the supported fragment (e.g. non-linear real arithmetic or array
-    /// equality).
-    pub fn check(&mut self, tm: &mut TermManager) -> Result<SolverResult> {
-        self.check_view(TmView::Exclusive(tm))
-    }
-
-    /// [`Context::check`] against a shared term manager: every raw assertion
-    /// must have its preprocessing supplied through `cache` (the portfolio
-    /// warms it before dispatching its racing workers).
-    pub(crate) fn check_shared(
-        &mut self,
-        tm: &TermManager,
-        cache: &PreprocessCache,
-    ) -> Result<SolverResult> {
-        self.check_view(TmView::Shared(tm, cache))
-    }
-
-    fn check_view(&mut self, mut view: TmView<'_>) -> Result<SolverResult> {
-        self.stats.checks += 1;
-        self.ensure_encoded(&mut view)?;
-        let encoder = self.encoder.as_mut().expect("encoder exists");
-        Ok(solve_with_theory(
-            encoder,
-            &[],
-            self.config.max_conflicts,
-            self.config.max_theory_iterations,
-            &mut self.stats,
-            &mut self.real_model_values,
-        ))
-    }
-
-    fn ensure_encoded(&mut self, view: &mut TmView<'_>) -> Result<()> {
-        if self.encoder.is_none() {
-            let mut encoder = Encoder::with_options(self.sat_options);
-            encoder.sat().set_interrupts(self.interrupts.clone());
-            self.encoder = Some(encoder);
-            self.encoded_up_to = 0;
-        }
-        // Encode tracked variables first so their bits always exist.
-        let encoder = self.encoder.as_mut().expect("encoder exists");
-        for &v in &self.tracked_vars {
-            encoder.ensure_var_bits(view.tm(), v)?;
-        }
-        for assertion in &self.assertions[self.encoded_up_to..] {
-            encode_assertion(
-                encoder,
-                view,
-                assertion,
-                None,
-                &mut self.preprocess_cache,
-                &mut self.stats.preprocess_cache_hits,
-            )?;
-        }
-        self.encoded_up_to = self.assertions.len();
-        Ok(())
-    }
-
-    /// Value of a variable in the most recent satisfying assignment.
-    ///
-    /// Discrete variables come from the SAT model; real and float variables
-    /// from the simplex witness (floats are reported as their relaxed real
-    /// value).  Returns `None` for unsupported sorts, for variables that were
-    /// never encoded, or if the last check was not satisfiable.
-    pub fn model_value(&self, tm: &TermManager, var: TermId) -> Option<Value> {
-        let encoder = self.encoder.as_ref()?;
-        model::model_value(encoder, &self.real_model_values, tm, var)
-    }
-
-    /// The projected model: the value of each projection variable in the
-    /// most recent satisfying assignment, in the order given.
-    pub fn projected_model(&self, tm: &TermManager, projection: &[TermId]) -> Option<Vec<BvValue>> {
-        let encoder = self.encoder.as_ref()?;
-        model::projected_model(encoder, tm, projection)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pact_ir::Sort;
+    use crate::IncrementalContext;
+    use pact_ir::{Rational, Sort, Value};
 
     #[test]
     fn oracle_stats_add_assign_sums_every_field() {
@@ -595,7 +348,7 @@ mod tests {
         let x = tm.mk_var("x", Sort::BitVec(8));
         let c = tm.mk_bv_const(200, 8);
         let f = tm.mk_bv_ult(c, x).unwrap();
-        let mut ctx = Context::new();
+        let mut ctx = IncrementalContext::new();
         ctx.assert_term(f);
         assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
         let v = ctx.model_value(&tm, x).unwrap().as_bv().unwrap();
@@ -614,7 +367,7 @@ mod tests {
         let one = tm.mk_real_const(Rational::ONE);
         let f2 = tm.mk_real_lt(half, r).unwrap();
         let f3 = tm.mk_real_lt(r, one).unwrap();
-        let mut ctx = Context::new();
+        let mut ctx = IncrementalContext::new();
         ctx.assert_term(f1);
         ctx.assert_term(f2);
         ctx.assert_term(f3);
@@ -637,7 +390,7 @@ mod tests {
         let f1 = tm.mk_real_lt(r, zero).unwrap();
         let f2 = tm.mk_real_lt(one, r).unwrap();
         let both = tm.mk_and([f1, f2]);
-        let mut ctx = Context::new();
+        let mut ctx = IncrementalContext::new();
         ctx.assert_term(both);
         assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Unsat);
     }
@@ -655,7 +408,7 @@ mod tests {
         let disj = tm.mk_or([lt0, gt1]);
         let ge0 = tm.mk_real_le(zero, r).unwrap();
         let le2 = tm.mk_real_le(r, two).unwrap();
-        let mut ctx = Context::new();
+        let mut ctx = IncrementalContext::new();
         ctx.assert_term(disj);
         ctx.assert_term(ge0);
         ctx.assert_term(le2);
@@ -676,7 +429,7 @@ mod tests {
         let x = tm.mk_var("x", Sort::BitVec(4));
         let three = tm.mk_bv_const(3, 4);
         let f = tm.mk_bv_ult(x, three).unwrap();
-        let mut ctx = Context::new();
+        let mut ctx = IncrementalContext::rebuilding(SolverConfig::default());
         ctx.assert_term(f);
         assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
         ctx.push();
@@ -686,7 +439,7 @@ mod tests {
         assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Unsat);
         ctx.pop();
         assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
-        assert!(ctx.stats().rebuilds >= 1);
+        assert_eq!(ctx.stats().rebuilds, 1);
     }
 
     #[test]
@@ -696,7 +449,7 @@ mod tests {
         let x = tm.mk_var("x", Sort::BitVec(4));
         let three = tm.mk_bv_const(3, 4);
         let f = tm.mk_bv_ult(x, three).unwrap();
-        let mut ctx = Context::new();
+        let mut ctx = IncrementalContext::new();
         ctx.track_var(x);
         ctx.assert_term(f);
         let mut seen = Vec::new();
@@ -723,7 +476,7 @@ mod tests {
     fn xor_bits_assertion_halves_the_space() {
         let mut tm = TermManager::new();
         let x = tm.mk_var("x", Sort::BitVec(3));
-        let mut ctx = Context::new();
+        let mut ctx = IncrementalContext::new();
         ctx.track_var(x);
         ctx.assert_xor_bits(vec![(x, 0), (x, 1), (x, 2)], true);
         let mut count = 0;
@@ -760,7 +513,7 @@ mod tests {
             tm.mk_not(eq)
         };
         // i = j but a[i] != a[j] violates congruence: unsat.
-        let mut ctx = Context::new();
+        let mut ctx = IncrementalContext::new();
         ctx.assert_term(idx_eq);
         ctx.assert_term(val_neq);
         assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Unsat);
@@ -775,7 +528,7 @@ mod tests {
             let eq = tm.mk_eq(fx, fy);
             tm.mk_not(eq)
         };
-        let mut ctx2 = Context::new();
+        let mut ctx2 = IncrementalContext::new();
         ctx2.assert_term(xeqy);
         ctx2.assert_term(fneq);
         assert_eq!(ctx2.check(&mut tm).unwrap(), SolverResult::Unsat);
@@ -793,7 +546,7 @@ mod tests {
         let two = tm.mk_bv_const(2, 10);
         let g1 = tm.mk_bv_ult(two, x).unwrap();
         let g2 = tm.mk_bv_ult(two, y).unwrap();
-        let mut ctx = Context::with_config(SolverConfig {
+        let mut ctx = IncrementalContext::with_config(SolverConfig {
             max_conflicts: Some(1),
             max_theory_iterations: 10,
         });
@@ -802,32 +555,6 @@ mod tests {
         ctx.assert_term(g2);
         let verdict = ctx.check(&mut tm).unwrap();
         assert!(matches!(verdict, SolverResult::Unknown | SolverResult::Sat));
-    }
-
-    #[test]
-    fn track_var_after_encoding_counts_as_a_rebuild() {
-        // Regression: `track_var` on an already-encoded context forces a
-        // full re-encode exactly like `pop` does, and must show up in
-        // `OracleStats::rebuilds` so before/after measurements can be
-        // trusted.
-        let mut tm = TermManager::new();
-        let x = tm.mk_var("x", Sort::BitVec(4));
-        let three = tm.mk_bv_const(3, 4);
-        let f = tm.mk_bv_ult(x, three).unwrap();
-        let mut ctx = Context::new();
-        ctx.track_var(x); // before any encoding: no rebuild
-        ctx.assert_term(f);
-        assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
-        assert_eq!(ctx.stats().rebuilds, 0);
-
-        let y = tm.mk_var("y", Sort::BitVec(4));
-        ctx.track_var(y); // silent re-encode: must be counted
-        assert_eq!(ctx.stats().rebuilds, 1);
-        assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
-        assert!(ctx.projected_model(&tm, &[x, y]).is_some());
-
-        ctx.track_var(y); // already tracked: no-op, no rebuild
-        assert_eq!(ctx.stats().rebuilds, 1);
     }
 
     #[test]
@@ -840,7 +567,7 @@ mod tests {
         let prod = tm.mk_bv_mul(x, y).unwrap();
         let c = tm.mk_bv_const(851, 10);
         let f = tm.mk_eq(prod, c);
-        let mut ctx = Context::new();
+        let mut ctx = IncrementalContext::rebuilding(SolverConfig::default());
         ctx.assert_term(f);
         assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
         let before = ctx.stats().conflicts;
@@ -851,8 +578,10 @@ mod tests {
         assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Unsat);
         let mid = ctx.stats().conflicts;
         assert!(mid >= before);
-        ctx.pop(); // rebuild: the discarded solver's conflicts are banked
-        assert!(ctx.stats().rebuilds >= 1);
+        ctx.pop();
+        // The rebuild discards the solver; its conflicts are banked.
+        assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
+        assert_eq!(ctx.stats().rebuilds, 1);
         assert!(ctx.stats().conflicts >= mid);
     }
 
@@ -867,7 +596,7 @@ mod tests {
         let x = tm.mk_var("x", Sort::BitVec(8));
         let c = tm.mk_bv_const(200, 8);
         let f = tm.mk_bv_ult(c, x).unwrap();
-        let mut ctx = Context::new();
+        let mut ctx = IncrementalContext::rebuilding(SolverConfig::default());
         ctx.assert_term(f);
         ctx.push();
         let d = tm.mk_bv_const(240, 8);
@@ -875,10 +604,10 @@ mod tests {
         ctx.assert_term(g);
         assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
         assert_eq!(ctx.stats().preprocess_cache_hits, 0);
-        ctx.pop(); // discards the encoder; the next check re-encodes `f`
+        ctx.pop(); // the next check re-encodes `f` into a fresh solver
         assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
         let stats = ctx.stats();
-        assert!(stats.rebuilds >= 1);
+        assert_eq!(stats.rebuilds, 1);
         assert!(stats.preprocess_cache_hits >= 1);
     }
 
@@ -898,7 +627,7 @@ mod tests {
         let one = tm.mk_real_const(Rational::ONE);
         let half = tm.mk_real_const(Rational::new(1, 2));
         let budget = 5;
-        let mut ctx = Context::with_config(SolverConfig {
+        let mut ctx = IncrementalContext::with_config(SolverConfig {
             max_conflicts: Some(budget),
             max_theory_iterations: 100,
         });
@@ -921,7 +650,7 @@ mod tests {
         // The same check without a conflict budget spends far more than
         // `budget` conflicts over the same iteration allowance — the
         // difference the old per-call re-arming silently re-introduced.
-        let mut free = Context::with_config(SolverConfig {
+        let mut free = IncrementalContext::with_config(SolverConfig {
             max_conflicts: None,
             max_theory_iterations: 100,
         });
@@ -945,7 +674,7 @@ mod tests {
         let v = tm.mk_var("v", Sort::float32());
         let lt = tm.mk_fp_lt(u, v).unwrap();
         let ge = tm.mk_fp_le(v, u).unwrap();
-        let mut ctx = Context::new();
+        let mut ctx = IncrementalContext::new();
         ctx.assert_term(lt);
         ctx.assert_term(ge);
         // u < v and v <= u is unsatisfiable under the real relaxation.

@@ -1,12 +1,10 @@
-//! The lazy DPLL(T) loop shared by the oracle backends.
+//! The lazy DPLL(T) loop of the single-engine context.
 //!
-//! Both [`Context`](crate::Context) and
-//! [`IncrementalContext`](crate::IncrementalContext) decide satisfiability
-//! the same way: solve the bit-blasted boolean abstraction, extract the
-//! theory atoms the model commits to, check their conjunction against the
-//! simplex core, and refine with a lemma until the verdicts agree.  The only
-//! backend-specific input is the assumption set (empty for the rebuilding
-//! context, the live activation literals for the incremental one).
+//! [`IncrementalContext`](crate::IncrementalContext) decides satisfiability
+//! by solving the bit-blasted boolean abstraction, extracting the theory
+//! atoms the model commits to, checking their conjunction against the
+//! simplex core, and refining with a lemma until the verdicts agree.  The
+//! assumption set is the live frames' activation literals.
 //!
 //! Consecutive enumeration models mostly differ only in discrete bits, so
 //! they commit to the same theory atoms.  A one-entry [`TheoryMemo`] kept in

@@ -1,16 +1,16 @@
-//! `IncrementalContext`: an activation-literal oracle whose encoder survives
-//! `pop`.
+//! `IncrementalContext`: the single-engine SMT oracle — an assertion stack
+//! with push/pop, `check` and model extraction, in the style of the SMT-LIB
+//! command set.
 //!
-//! The counting loop is thousands of tiny `push` / assert-hash / `check` /
-//! `pop` cycles, and the reference [`Context`](crate::Context) pays for each
-//! one by discarding its whole encoder (learnt clauses, branching
-//! activities, everything) the moment a `pop` crosses encoded assertions —
-//! that is what [`OracleStats::rebuilds`] counts.  This backend never
-//! rebuilds.  Every `push` allocates a fresh *activation literal* `a`; frame
-//! assertions are encoded guarded (`¬a ∨ clause`), `check` solves under the
-//! assumptions of all live activation literals, and `pop` retires a frame by
-//! asserting the unit `¬a`.  Retired clauses are permanently satisfied,
-//! while the encoder — and everything the CDCL solver learnt — stays.
+//! The discrete part is bit-blasted eagerly into a CDCL solver with native
+//! XOR rows, and real/float atoms are refined lazily against a simplex core
+//! (DPLL(T)).  The counting loop is thousands of tiny `push` / assert-hash /
+//! `check` / `pop` cycles, so the encoder survives `pop`: every `push`
+//! allocates a fresh *activation literal* `a`; frame assertions are encoded
+//! guarded (`¬a ∨ clause`), `check` solves under the assumptions of all live
+//! activation literals, and `pop` retires a frame by asserting the unit
+//! `¬a`.  Retired clauses are permanently satisfied, while the encoder — and
+//! everything the CDCL solver learnt — stays.
 //!
 //! Native XOR rows (the `H_xor` fast path) cannot be guarded clause-wise, so
 //! the guard is folded in on the CNF side: each guarded row gets a fresh
@@ -20,34 +20,49 @@
 //! parity and the row is inert.
 //!
 //! Retired frames leave permanently satisfied clauses behind, so a very
-//! long-lived context grows monotonically.  The backend bounds that growth
-//! with *frame-garbage compaction*: every encoded guarded assertion is
-//! journalled by its frame's stable id, `pop` counts the journal entries it
-//! retires, and once the retired count crosses a threshold (and outweighs
-//! the live journal) the next `check` re-encodes only the live frames into a
-//! fresh solver.  A compaction is *not* a rebuild — it is deliberate garbage
-//! collection, counted by [`OracleStats::compactions`] /
-//! [`OracleStats::dead_clauses_reclaimed`] while `rebuilds` stays 0.
+//! long-lived context grows monotonically.  The context bounds that growth
+//! with *frame-garbage compaction*: every encoded assertion is journalled by
+//! its frame's stable id, `pop` counts the journal entries it retires, and
+//! once the retired count crosses a threshold (and outweighs the live
+//! journal) the next `check` re-encodes only the live frames into a fresh
+//! solver, counted by [`OracleStats::compactions`] /
+//! [`OracleStats::dead_clauses_reclaimed`].
+//!
+//! # Rebuild mode
+//!
+//! [`IncrementalContext::rebuilding`] builds the same context in *rebuild
+//! mode*, the `rebuild` backend: every `pop` that retires encoded assertions
+//! arms the compaction for the next `check`, with no threshold and no
+//! live/dead ratio test.  That check re-encodes the live frames into a fresh
+//! solver and so throws away the learnt clauses and branching activities —
+//! the work profile of an oracle that rebuilds its encoder on every `pop`.
+//! [`OracleStats::rebuilds`] counts the `pop`s that arm such a re-encode
+//! (further `pop`s before the next check add nothing); in the default mode
+//! `rebuilds` stays 0.
 //!
 //! ```
 //! use pact_ir::{TermManager, Sort};
-//! use pact_solver::{IncrementalContext, SolverResult};
+//! use pact_solver::{IncrementalContext, SolverConfig, SolverResult};
 //!
 //! let mut tm = TermManager::new();
 //! let x = tm.mk_var("x", Sort::BitVec(4));
 //! let three = tm.mk_bv_const(3, 4);
 //! let f = tm.mk_bv_ult(x, three).unwrap();
-//! let mut ctx = IncrementalContext::new();
-//! ctx.assert_term(f);
-//! assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
-//! ctx.push();
 //! let zero = tm.mk_bv_const(0, 4);
 //! let g = tm.mk_bv_ult(x, zero).unwrap();
-//! ctx.assert_term(g);
-//! assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Unsat);
-//! ctx.pop();
-//! assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
-//! assert_eq!(ctx.stats().rebuilds, 0); // the encoder survived
+//! for (mut ctx, rebuilds) in [
+//!     (IncrementalContext::new(), 0),
+//!     (IncrementalContext::rebuilding(SolverConfig::default()), 1),
+//! ] {
+//!     ctx.assert_term(f);
+//!     assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
+//!     ctx.push();
+//!     ctx.assert_term(g);
+//!     assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Unsat);
+//!     ctx.pop();
+//!     assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
+//!     assert_eq!(ctx.stats().rebuilds, rebuilds);
+//! }
 //! ```
 
 use pact_ir::{BvValue, Rational, TermId, TermManager, Value};
@@ -61,6 +76,7 @@ use crate::dpllt::solve_with_theory;
 use crate::error::Result;
 use crate::model;
 use crate::oracle::{block_model_by_terms, blocking_pairs};
+use crate::portfolio::WorkerProfile;
 
 /// One live assertion-stack frame.
 #[derive(Debug)]
@@ -79,18 +95,17 @@ struct Frame {
 /// is considered (see [`IncrementalContext::set_compaction_threshold`]).
 const DEFAULT_COMPACTION_MIN_DEAD: u64 = 64;
 
-/// The activation-literal SMT oracle: same assertion-stack interface as
-/// [`Context`](crate::Context), but `pop` retires frames instead of
-/// rebuilding, so [`OracleStats::rebuilds`] stays 0 for its whole lifetime.
+/// The single-engine SMT oracle (see the module docs).
 ///
 /// Assertions made outside any frame are permanent and encoded unguarded.
 /// Assertions inside a frame are guarded by the frame's activation literal;
-/// `check` assumes every live activation literal.  The trade-off against the
-/// rebuilding backend: retired frames leave their (permanently satisfied)
-/// clauses and neutralised XOR rows in the solver, so very long-lived
-/// contexts grow monotonically — frame-garbage compaction re-encodes the
-/// live frames into a fresh solver once enough retired clauses accumulate
-/// (see [`IncrementalContext::set_compaction_threshold`]).
+/// `check` assumes every live activation literal and `pop` retires the
+/// frame.  Retired frames leave their (permanently satisfied) clauses and
+/// neutralised XOR rows in the solver, so frame-garbage compaction
+/// re-encodes the live frames into a fresh solver once enough retired
+/// clauses accumulate (see [`IncrementalContext::set_compaction_threshold`])
+/// — or, in rebuild mode ([`IncrementalContext::rebuilding`]), after every
+/// `pop` that retired encoded assertions.
 #[derive(Debug)]
 pub struct IncrementalContext {
     config: SolverConfig,
@@ -121,6 +136,9 @@ pub struct IncrementalContext {
     compaction_min_dead: u64,
     /// Conflicts accumulated by encoders that compaction discarded.
     retired_conflicts: u64,
+    /// Rebuild mode: any retired journal entry arms the compaction, and the
+    /// `pop` that arms it counts a rebuild.
+    rebuild: bool,
     /// Simplex witness (indexed by LRA variable) from the last SAT check.
     real_model_values: Vec<Rational>,
     /// Term-id-keyed preprocessing memo; never invalidated (term ids are
@@ -145,6 +163,7 @@ impl Default for IncrementalContext {
             dead_entries: 0,
             compaction_min_dead: DEFAULT_COMPACTION_MIN_DEAD,
             retired_conflicts: 0,
+            rebuild: false,
             real_model_values: Vec::new(),
             preprocess_cache: PreprocessCache::default(),
         }
@@ -165,13 +184,26 @@ impl IncrementalContext {
         }
     }
 
-    /// Creates an oracle with the given resource limits and SAT-level
-    /// diversification options (a portfolio worker's constructor).
-    pub(crate) fn with_config_and_options(config: SolverConfig, sat_options: SatOptions) -> Self {
+    /// Creates an oracle in rebuild mode (the `rebuild` backend): every
+    /// `pop` that retires encoded assertions makes the next `check`
+    /// re-encode the live frames into a fresh solver, and counts one
+    /// [`OracleStats::rebuilds`] unless a re-encode was already armed.
+    pub fn rebuilding(config: SolverConfig) -> Self {
         IncrementalContext {
             config,
-            encoder: Encoder::with_options(sat_options),
-            sat_options,
+            rebuild: true,
+            ..IncrementalContext::default()
+        }
+    }
+
+    /// Creates a portfolio worker: the profile's context mode and SAT-level
+    /// diversification options, with the given resource limits.
+    pub(crate) fn for_worker(config: SolverConfig, profile: &WorkerProfile) -> Self {
+        IncrementalContext {
+            config,
+            encoder: Encoder::with_options(profile.sat),
+            sat_options: profile.sat,
+            rebuild: !profile.incremental,
             ..IncrementalContext::default()
         }
     }
@@ -184,8 +216,9 @@ impl IncrementalContext {
         self.encoder.sat().set_interrupts(flags);
     }
 
-    /// Cumulative statistics.  `rebuilds` is 0 by construction; compactions
-    /// are counted separately (they are garbage collection, not rebuilds).
+    /// Cumulative statistics.  `rebuilds` counts rebuild mode's arming
+    /// `pop`s and is 0 in the default mode, whose compactions are counted
+    /// separately.
     pub fn stats(&self) -> OracleStats {
         let mut stats = self.stats;
         stats.conflicts = self.retired_conflicts + self.encoder.sat_stats().conflicts;
@@ -197,6 +230,7 @@ impl IncrementalContext {
     /// start of a `check` once at least `min_dead` journal entries have been
     /// retired by `pop` *and* the dead entries outnumber the live journal —
     /// the re-encode then provably at least halves the clause database.
+    /// Rebuild mode ignores the threshold.
     pub fn set_compaction_threshold(&mut self, min_dead: usize) {
         self.compaction_min_dead = min_dead as u64;
     }
@@ -237,7 +271,13 @@ impl IncrementalContext {
         // compaction knows how much a re-encode would reclaim.
         let before = self.encoded.len();
         self.encoded.retain(|(guard, _)| *guard != Some(frame.id));
-        self.dead_entries += (before - self.encoded.len()) as u64;
+        let retired = (before - self.encoded.len()) as u64;
+        // Rebuild mode counts the rebuild where the first garbage arms it:
+        // one re-encode at the next check serves every pop until then.
+        if self.rebuild && retired > 0 && self.dead_entries == 0 {
+            self.stats.rebuilds += 1;
+        }
+        self.dead_entries += retired;
         // `a` only ever occurs negatively in guard clauses, so the unit can
         // never conflict; `add_clause` returning `false` would mean the
         // formula was already unsat at level zero.
@@ -257,10 +297,15 @@ impl IncrementalContext {
 
     /// Compacts when enough frame garbage has accumulated: at least the
     /// configured minimum, and more dead journal entries than live ones.
+    /// In rebuild mode any garbage at all is enough.
     fn maybe_compact(&mut self) {
-        if self.dead_entries >= self.compaction_min_dead
-            && self.dead_entries >= self.encoded.len() as u64
-        {
+        let armed = if self.rebuild {
+            self.dead_entries > 0
+        } else {
+            self.dead_entries >= self.compaction_min_dead
+                && self.dead_entries >= self.encoded.len() as u64
+        };
+        if armed {
             self.compact();
         }
     }
@@ -268,7 +313,8 @@ impl IncrementalContext {
     /// Replaces the encoder with a fresh one and queues every live journal
     /// entry for re-encoding, shedding all clauses owned by retired frames.
     /// Learnt clauses are lost too — that is the price of the reclaim, which
-    /// is why compaction only fires when garbage dominates.
+    /// is why compaction only fires when garbage dominates (outside rebuild
+    /// mode, whose point is to pay that price on every `pop`).
     fn compact(&mut self) {
         // Bank the dying encoder's conflict count so `stats()` stays
         // cumulative across the swap.
@@ -286,8 +332,10 @@ impl IncrementalContext {
         let mut requeued = std::mem::take(&mut self.encoded);
         requeued.append(&mut self.pending);
         self.pending = requeued;
-        self.stats.compactions += 1;
-        self.stats.dead_clauses_reclaimed += self.dead_entries;
+        if !self.rebuild {
+            self.stats.compactions += 1;
+            self.stats.dead_clauses_reclaimed += self.dead_entries;
+        }
         self.dead_entries = 0;
     }
 
@@ -325,9 +373,9 @@ impl IncrementalContext {
     }
 
     /// Declares a variable whose bits must exist in every encoding, even if
-    /// it never occurs in an assertion.  Unlike the rebuilding backend this
-    /// never discards the encoder: the bits are simply appended at the next
-    /// `check`.
+    /// it never occurs in an assertion (used for projection variables so the
+    /// model and the hash constraints range over their full domain).  The
+    /// bits are appended at the next `check`; the encoder is kept.
     pub fn track_var(&mut self, var: TermId) {
         if !self.tracked_vars.contains(&var) {
             self.tracked_vars.push(var);
@@ -461,9 +509,12 @@ impl IncrementalContext {
         Ok(())
     }
 
-    /// Value of a variable in the most recent satisfying assignment (see
-    /// [`Context::model_value`](crate::Context::model_value) for the
-    /// per-sort semantics).
+    /// Value of a variable in the most recent satisfying assignment.
+    ///
+    /// Discrete variables come from the SAT model; real and float variables
+    /// from the simplex witness (floats are reported as their relaxed real
+    /// value).  Returns `None` for unsupported sorts, for variables that were
+    /// never encoded, or if the last check was not satisfiable.
     pub fn model_value(&self, tm: &TermManager, var: TermId) -> Option<Value> {
         model::model_value(&self.encoder, &self.real_model_values, tm, var)
     }
@@ -891,6 +942,75 @@ mod tests {
         ctx.assert_term(bad);
         assert!(ctx.check(&mut tm).is_err());
         assert!(ctx.check(&mut tm).is_err());
+    }
+
+    #[test]
+    fn rebuild_mode_rebuilds_once_per_check_after_a_retiring_pop() {
+        // Three kinds of pop: one retiring an encoded frame, one retiring a
+        // frame that was never checked, and two retiring nested encoded
+        // frames before a single check.  Rebuild mode re-encodes exactly
+        // before the checks that follow encoded garbage; the default mode
+        // keeps its encoder throughout.  A final retiring pop with no check
+        // after it still counts, because the pop that arms a rebuild is
+        // where it is counted.
+        let run = |mut ctx: IncrementalContext| {
+            let mut tm = TermManager::new();
+            let x = tm.mk_var("x", Sort::BitVec(5));
+            ctx.track_var(x);
+            let f = assert_bv_lt(&mut tm, x, 20, 5);
+            ctx.assert_term(f);
+            assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
+            // Encoded frame, popped: the next check rebuilds.
+            ctx.push();
+            let g = assert_bv_lt(&mut tm, x, 10, 5);
+            ctx.assert_term(g);
+            ctx.assert_xor_bits(vec![(x, 0), (x, 1)], true);
+            assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
+            ctx.pop();
+            assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
+            // Never-checked frame, popped: nothing was encoded, no rebuild.
+            ctx.push();
+            let h = assert_bv_lt(&mut tm, x, 0, 5);
+            ctx.assert_term(h);
+            ctx.pop();
+            assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
+            // Two encoded frames popped back to back: one rebuild.
+            ctx.push();
+            ctx.assert_term(g);
+            ctx.push();
+            let k = assert_bv_lt(&mut tm, x, 2, 5);
+            ctx.block_model(&mut tm, &[x], &[BvValue::new(0, 5)]);
+            ctx.assert_term(k);
+            assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
+            assert_eq!(
+                ctx.model_value(&tm, x).unwrap().as_bv().unwrap().as_u128(),
+                1
+            );
+            ctx.pop();
+            ctx.pop();
+            assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
+            let after_checks = ctx.stats();
+            ctx.push();
+            ctx.assert_term(g);
+            assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
+            ctx.pop();
+            (after_checks, ctx.stats())
+        };
+        // Rebuild mode ignores the compaction threshold.
+        let mut rebuilding = IncrementalContext::rebuilding(SolverConfig::default());
+        rebuilding.set_compaction_threshold(1_000);
+        let (rebuilt, dangling) = run(rebuilding);
+        assert_eq!(rebuilt.checks, 6);
+        assert_eq!(rebuilt.rebuilds, 2);
+        assert_eq!(rebuilt.compactions, 0);
+        assert_eq!(rebuilt.dead_clauses_reclaimed, 0);
+        assert_eq!(dangling.rebuilds, 3);
+        assert_eq!(dangling.compactions, 0);
+        let (incremental, dangling) = run(IncrementalContext::new());
+        assert_eq!(incremental.checks, 6);
+        assert_eq!(incremental.rebuilds, 0);
+        assert_eq!(incremental.compactions, 0);
+        assert_eq!(dangling.rebuilds, 0);
     }
 
     #[test]

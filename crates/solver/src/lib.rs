@@ -13,17 +13,19 @@
 //! * [`Encoder`](bitblast::Encoder) bit-blasts the discrete structure into
 //!   the `pact-sat` CDCL solver (with native XOR rows for hash constraints)
 //!   and abstracts real/float atoms into boolean literals.
-//! * [`Context`] runs the lazy DPLL(T) loop against the `pact-lra` simplex
-//!   core and exposes an SMT-LIB-style assert / push / pop / check / model
-//!   interface.
-//! * [`IncrementalContext`] is the activation-literal backend: the same
-//!   interface, but `pop` retires frames under assumption literals instead
-//!   of rebuilding the encoder, so learnt clauses and branching activities
-//!   survive the counting loop's push/pop cycles (`rebuilds` stays 0).
-//! * [`PortfolioContext`] races N diversified workers (rebuild- and
-//!   incremental-style engines with distinct polarity, restart and
-//!   branching-noise settings) inside every `check`, keeps the first
-//!   SAT/UNSAT answer and cancels the losers via [`InterruptFlag`].
+//! * [`IncrementalContext`] is the single-engine context: it runs the lazy
+//!   DPLL(T) loop against the `pact-lra` simplex core and exposes an
+//!   SMT-LIB-style assert / push / pop / check / model interface.  `pop`
+//!   retires frames under activation literals, so learnt clauses and
+//!   branching activities survive the counting loop's push/pop cycles
+//!   (`rebuilds` stays 0).  In rebuild mode
+//!   ([`IncrementalContext::rebuilding`], the `rebuild` backend) every `pop`
+//!   that retired encoded assertions makes the next `check` re-encode the
+//!   live frames into a fresh solver.
+//! * [`PortfolioContext`] races N diversified workers (contexts in either
+//!   mode with distinct polarity, restart and branching-noise settings)
+//!   inside every `check`, keeps the first SAT/UNSAT answer and cancels the
+//!   losers via [`InterruptFlag`].
 //! * [`CubeContext`] is the cube-and-conquer backend: instead of racing
 //!   whole solves it *partitions* one hard `check` — a lookahead pass picks
 //!   split bits, up to `2^d` cubes are generated (with probe-based
@@ -36,13 +38,13 @@
 //!   hard streaks and decaying back when checks turn easy again.
 //! * [`Oracle`] abstracts that interface into a trait, so the counting
 //!   engine (and its tests) can swap in alternative or instrumented
-//!   backends; `Context` is the reference implementation.
+//!   backends; `IncrementalContext` is the reference implementation.
 //!
 //! # Example
 //!
 //! ```
 //! use pact_ir::{TermManager, Sort, Rational};
-//! use pact_solver::{Context, SolverResult};
+//! use pact_solver::{IncrementalContext, SolverResult};
 //!
 //! // A hybrid constraint: b < 8 (bit-vector) and 0 < r < 1 (real).
 //! let mut tm = TermManager::new();
@@ -55,7 +57,7 @@
 //! let f2 = tm.mk_real_lt(zero, r).unwrap();
 //! let f3 = tm.mk_real_lt(r, one).unwrap();
 //!
-//! let mut ctx = Context::new();
+//! let mut ctx = IncrementalContext::new();
 //! ctx.assert_term(f1);
 //! ctx.assert_term(f2);
 //! ctx.assert_term(f3);
@@ -78,7 +80,7 @@ mod pool;
 mod portfolio;
 pub mod preprocess;
 
-pub use context::{Context, OracleStats, SolverConfig, SolverResult};
+pub use context::{OracleStats, SolverConfig, SolverResult};
 pub use cube::{
     cubes_partition, resolve_cube_verdicts, CubeBit, CubeContext, CubeStats, MAX_CUBE_DEPTH,
     MAX_CUBE_WORKERS, PROBE_CONFLICTS,
@@ -97,14 +99,13 @@ pub use portfolio::{
     WORKER_PROFILES,
 };
 
-// Send audit: the counting engine builds one `Context` per scheduled round
+// Send audit: the counting engine builds one oracle per scheduled round
 // and moves it into a worker thread.  The context owns its assertion stack,
 // encoder and witness storage outright (no shared-ownership types; `unsafe`
 // is forbidden crate-wide), so `Send` holds structurally; this assertion
 // pins that property at the crate boundary.
 const _: () = {
     const fn assert_send<T: Send>() {}
-    assert_send::<Context>();
     assert_send::<IncrementalContext>();
     assert_send::<PortfolioContext>();
     assert_send::<CubeContext>();

@@ -1,10 +1,8 @@
-//! Model extraction shared by the oracle backends.
+//! Model extraction of the single-engine context.
 //!
-//! [`Context`](crate::Context) and
-//! [`IncrementalContext`](crate::IncrementalContext) both read models the
-//! same way — discrete values from the SAT model, continuous values from the
-//! simplex witness — so the logic lives here once and each backend supplies
-//! its encoder and witness storage.
+//! [`IncrementalContext`](crate::IncrementalContext) reads models from its
+//! encoder and witness storage: discrete values from the SAT model,
+//! continuous values from the simplex witness.
 
 use pact_ir::{BvValue, Rational, Sort, TermId, TermManager, Value};
 

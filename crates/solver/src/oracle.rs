@@ -2,11 +2,12 @@
 //!
 //! The paper treats the SMT solver as a black-box oracle answering projected
 //! satisfiability queries; this trait is that black box as a Rust interface.
-//! [`Context`] is the workspace's own DPLL(T) implementation of it, and the
-//! counting crate (`pact`) is generic over the trait, so alternative backends
-//! — portfolio oracles, incremental encoders that survive `pop`, an external
-//! solver behind a pipe, instrumented test doubles — plug in without touching
-//! the counting algorithms.
+//! [`IncrementalContext`] is the workspace's own DPLL(T) implementation of
+//! it (in its default mode and in rebuild mode), and the counting crate
+//! (`pact`) is generic over the trait, so alternative backends — portfolio
+//! oracles, cube-and-conquer splitters, an external solver behind a pipe,
+//! instrumented test doubles — plug in without touching the counting
+//! algorithms.
 //!
 //! The trait mirrors the SMT-LIB command subset the counters actually use:
 //! an assertion stack (`push`/`pop`/`assert_term`), the native XOR fast path
@@ -18,7 +19,7 @@
 use pact_ir::{BvValue, Sort, TermId, TermManager, Value};
 use pact_sat::InterruptFlag;
 
-use crate::context::{Context, OracleStats, SolverResult};
+use crate::context::{OracleStats, SolverResult};
 use crate::cube::CubeStats;
 use crate::error::Result;
 use crate::incremental::IncrementalContext;
@@ -35,7 +36,7 @@ use crate::portfolio::PortfolioStats;
 ///
 /// # Implementing the trait
 ///
-/// [`Context`] is the reference implementation.  Custom oracles typically
+/// [`IncrementalContext`] is the reference implementation.  Custom oracles typically
 /// wrap it (delegating every method) to instrument, cache, or fan out
 /// queries; a from-scratch implementation only needs to honour the stack
 /// discipline above and the enumeration pattern used by the saturating
@@ -55,8 +56,8 @@ pub trait Oracle: Send {
     /// bug, and the contract is that implementations **panic** on it rather
     /// than silently ignoring the call or corrupting their stack.  The
     /// panic message should mention the missing `push`.  This behaviour is
-    /// uniform across backends ([`Context`], [`IncrementalContext`], and
-    /// any wrapper that delegates to them) and is pinned by the parity test
+    /// uniform across backends ([`IncrementalContext`] in either mode, and
+    /// any wrapper that delegates to it) and is pinned by the parity test
     /// in `tests/session.rs`.
     fn pop(&mut self);
 
@@ -200,52 +201,6 @@ pub(crate) fn blocking_pairs(
         .collect()
 }
 
-impl Oracle for Context {
-    fn push(&mut self) {
-        Context::push(self);
-    }
-
-    fn pop(&mut self) {
-        Context::pop(self);
-    }
-
-    fn assert_term(&mut self, t: TermId) {
-        Context::assert_term(self, t);
-    }
-
-    fn assert_xor_bits(&mut self, bits: Vec<(TermId, u32)>, rhs: bool) {
-        Context::assert_xor_bits(self, bits, rhs);
-    }
-
-    fn track_var(&mut self, var: TermId) {
-        Context::track_var(self, var);
-    }
-
-    fn check(&mut self, tm: &mut TermManager) -> Result<SolverResult> {
-        Context::check(self, tm)
-    }
-
-    fn model_value(&self, tm: &TermManager, var: TermId) -> Option<Value> {
-        Context::model_value(self, tm, var)
-    }
-
-    fn projected_model(&self, tm: &TermManager, projection: &[TermId]) -> Option<Vec<BvValue>> {
-        Context::projected_model(self, tm, projection)
-    }
-
-    fn block_model(&mut self, tm: &mut TermManager, projection: &[TermId], model: &[BvValue]) {
-        Context::block_model(self, tm, projection, model);
-    }
-
-    fn stats(&self) -> OracleStats {
-        Context::stats(self)
-    }
-
-    fn set_interrupt(&mut self, flag: InterruptFlag) {
-        Context::set_interrupt_flags(self, vec![flag]);
-    }
-}
-
 impl Oracle for IncrementalContext {
     fn push(&mut self) {
         IncrementalContext::push(self);
@@ -355,6 +310,7 @@ impl<O: Oracle + ?Sized> Oracle for Box<O> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SolverConfig;
 
     /// Drives the reference implementation purely through the trait object
     /// surface, proving object safety and the stack discipline.
@@ -364,7 +320,8 @@ mod tests {
         let x = tm.mk_var("x", Sort::BitVec(4));
         let three = tm.mk_bv_const(3, 4);
         let f = tm.mk_bv_ult(x, three).unwrap();
-        let mut oracle: Box<dyn Oracle> = Box::new(Context::new());
+        let mut oracle: Box<dyn Oracle> =
+            Box::new(IncrementalContext::rebuilding(SolverConfig::default()));
         oracle.track_var(x);
         oracle.assert_term(f);
         assert_eq!(oracle.check(&mut tm).unwrap(), SolverResult::Sat);
@@ -378,14 +335,15 @@ mod tests {
         assert_eq!(oracle.check(&mut tm).unwrap(), SolverResult::Unsat);
         oracle.pop();
         assert_eq!(oracle.check(&mut tm).unwrap(), SolverResult::Sat);
-        assert!(oracle.stats().checks >= 3);
+        assert_eq!(oracle.stats().checks, 3);
+        assert_eq!(oracle.stats().rebuilds, 1);
     }
 
     #[test]
     fn xor_assertions_work_through_the_trait() {
-        // Both backends must behave identically through the trait surface.
+        // Both modes must behave identically through the trait surface.
         let backends: Vec<Box<dyn Oracle>> = vec![
-            Box::new(Context::new()),
+            Box::new(IncrementalContext::rebuilding(SolverConfig::default())),
             Box::new(IncrementalContext::new()),
         ];
         for mut oracle in backends {

@@ -1,9 +1,9 @@
 //! Adaptive per-check backend policy: one oracle that routes every `check`
 //! to whichever backend the observed statistics say is winning.
 //!
-//! [`PolicyOracle`] wraps the four concrete backends ([`Context`],
-//! [`IncrementalContext`], [`PortfolioContext`], [`CubeContext`]) behind the
-//! ordinary [`Oracle`] surface.  It starts every count on the incremental
+//! [`PolicyOracle`] wraps the concrete backends ([`IncrementalContext`] in
+//! either mode, [`PortfolioContext`], [`CubeContext`]) behind the ordinary
+//! [`Oracle`] surface.  It starts every count on the incremental
 //! engine and re-routes per check from a sliding window of observations:
 //!
 //! * **Escalate to cube** when the windowed mean of CDCL conflicts per
@@ -61,7 +61,7 @@ use std::collections::VecDeque;
 use pact_ir::{BvValue, TermId, TermManager, Value};
 use pact_sat::InterruptFlag;
 
-use crate::context::{Context, OracleStats, SolverConfig, SolverResult};
+use crate::context::{OracleStats, SolverConfig, SolverResult};
 use crate::cube::{CubeContext, CubeStats, MAX_CUBE_DEPTH};
 use crate::error::Result;
 use crate::incremental::IncrementalContext;
@@ -72,10 +72,11 @@ use crate::portfolio::{PortfolioContext, PortfolioStats};
 /// [`PolicyStats::backend_checks`]): rebuild, incremental, portfolio, cube.
 pub const POLICY_BACKENDS: usize = 4;
 
-/// Slot index of the rebuilding [`Context`] backend.  The current rule set
-/// never routes to it (the incremental engine dominates it on every signal
-/// we observe); the slot exists so the accounting vector lines up with the
-/// `BackendSpec` vocabulary and so a future rule can demote to it.
+/// Slot index of the rebuild-mode [`IncrementalContext`] backend.  The
+/// current rule set never routes to it (the incremental engine dominates it
+/// on every signal we observe); the slot exists so the accounting vector
+/// lines up with the `BackendSpec` vocabulary and so a future rule can
+/// demote to it.
 pub const SLOT_REBUILD: usize = 0;
 /// Slot index of the [`IncrementalContext`] backend (the starting route).
 pub const SLOT_INCREMENTAL: usize = 1;
@@ -155,7 +156,6 @@ enum JournalOp {
 /// allocation per engaged backend while keeping the four-slot array
 /// pointer-sized per entry.
 enum Inner {
-    Rebuild(Box<Context>),
     Incremental(Box<IncrementalContext>),
     Portfolio(Box<PortfolioContext>),
     Cube(Box<CubeContext>),
@@ -164,7 +164,6 @@ enum Inner {
 impl Inner {
     fn as_dyn(&mut self) -> &mut dyn Oracle {
         match self {
-            Inner::Rebuild(c) => c.as_mut(),
             Inner::Incremental(c) => c.as_mut(),
             Inner::Portfolio(c) => c.as_mut(),
             Inner::Cube(c) => c.as_mut(),
@@ -173,7 +172,6 @@ impl Inner {
 
     fn as_dyn_ref(&self) -> &dyn Oracle {
         match self {
-            Inner::Rebuild(c) => c.as_ref(),
             Inner::Incremental(c) => c.as_ref(),
             Inner::Portfolio(c) => c.as_ref(),
             Inner::Cube(c) => c.as_ref(),
@@ -208,9 +206,8 @@ enum Mode {
     },
 }
 
-/// An adaptive oracle routing each `check` across the four concrete
-/// backends.  See the module docs for the rule set and determinism
-/// contract.
+/// An adaptive oracle routing each `check` across the four backend slots.
+/// See the module docs for the rule set and determinism contract.
 pub struct PolicyOracle {
     config: SolverConfig,
     /// Assertion-stack journal; `journal[0]` is the base frame.
@@ -272,7 +269,9 @@ impl PolicyOracle {
     /// A fresh, empty backend for `slot`.
     fn new_slot(&self, slot: usize) -> Inner {
         match slot {
-            SLOT_REBUILD => Inner::Rebuild(Box::new(Context::with_config(self.config))),
+            SLOT_REBUILD => {
+                Inner::Incremental(Box::new(IncrementalContext::rebuilding(self.config)))
+            }
             SLOT_INCREMENTAL => {
                 Inner::Incremental(Box::new(IncrementalContext::with_config(self.config)))
             }

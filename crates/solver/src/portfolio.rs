@@ -3,8 +3,8 @@
 //! The round scheduler parallelizes *across* rounds, but each oracle `check`
 //! is sequential, so one hard cell stalls a whole round.  This backend
 //! attacks exactly that tail: every `check` fans out to N workers — each a
-//! complete oracle of its own, diversified in backend style (rebuild vs.
-//! activation-literal incremental), branching polarity, restart schedule and
+//! complete oracle of its own, diversified in context mode (rebuild vs.
+//! incremental), branching polarity, restart schedule and
 //! initial-activity noise — and the first SAT/UNSAT answer wins while the
 //! losers are cancelled through an [`InterruptFlag`] their SAT solvers poll
 //! at conflict and restart boundaries.  The structure mirrors DALC's
@@ -56,8 +56,7 @@ use pact_ir::{BvValue, TermId, TermManager, Value};
 use pact_sat::{InterruptFlag, SatOptions};
 
 use crate::context::{
-    warm_preprocess_cache, Context, LiveGuard, OracleStats, PreprocessCache, SolverConfig,
-    SolverResult,
+    warm_preprocess_cache, LiveGuard, OracleStats, PreprocessCache, SolverConfig, SolverResult,
 };
 use crate::error::Result;
 use crate::incremental::IncrementalContext;
@@ -67,27 +66,27 @@ use crate::pool::{Job, PoolHandle, WorkerPool};
 /// What one racing job returns through the pool: the worker's slot, the
 /// worker context itself (ownership round-trips through the pool thread) and
 /// its verdict.
-type RaceReturn = (usize, WorkerCtx, Result<SolverResult>);
+type RaceReturn = (usize, IncrementalContext, Result<SolverResult>);
 
 /// Hard cap on the number of racing workers (and the length of the
 /// fixed-size win-count arrays carried through `CountStats`).
 pub const MAX_PORTFOLIO_WORKERS: usize = 8;
 
-/// One worker's diversification recipe: which backend style it runs and how
+/// One worker's diversification recipe: which context mode it runs and how
 /// its SAT search is steered away from its siblings'.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkerProfile {
     /// Short name used in reports and benchmark artifacts.
     pub label: &'static str,
-    /// `true` builds the activation-literal [`IncrementalContext`], `false`
-    /// the rebuilding [`Context`].
+    /// `true` builds an [`IncrementalContext`] in its default mode, `false`
+    /// one in rebuild mode ([`IncrementalContext::rebuilding`]).
     pub incremental: bool,
     /// SAT-level steering (polarity, restart schedule, branching noise).
     pub sat: SatOptions,
 }
 
 /// The portfolio's fixed worker table; [`PortfolioContext::with_config`]
-/// takes the first `n` entries.  Slots 0 and 1 are the two backend styles at
+/// takes the first `n` entries.  Slots 0 and 1 are the two context modes at
 /// reference settings, so even a two-worker portfolio races a rebuild-style
 /// against an incremental-style search; later slots add polarity flips,
 /// sprint/marathon restart schedules and branching noise.
@@ -210,103 +209,6 @@ pub struct WorkerReport {
     pub stats: OracleStats,
 }
 
-/// One racing worker: either backend style behind a common dispatch.
-#[derive(Debug)]
-enum WorkerCtx {
-    Rebuild(Context),
-    Incremental(IncrementalContext),
-}
-
-impl WorkerCtx {
-    fn build(profile: &WorkerProfile, config: SolverConfig) -> Self {
-        if profile.incremental {
-            WorkerCtx::Incremental(IncrementalContext::with_config_and_options(
-                config,
-                profile.sat,
-            ))
-        } else {
-            WorkerCtx::Rebuild(Context::with_config_and_options(config, profile.sat))
-        }
-    }
-
-    fn push(&mut self) {
-        match self {
-            WorkerCtx::Rebuild(c) => c.push(),
-            WorkerCtx::Incremental(c) => c.push(),
-        }
-    }
-
-    fn pop(&mut self) {
-        match self {
-            WorkerCtx::Rebuild(c) => c.pop(),
-            WorkerCtx::Incremental(c) => c.pop(),
-        }
-    }
-
-    fn assert_term(&mut self, t: TermId) {
-        match self {
-            WorkerCtx::Rebuild(c) => c.assert_term(t),
-            WorkerCtx::Incremental(c) => c.assert_term(t),
-        }
-    }
-
-    fn assert_xor_bits(&mut self, bits: Vec<(TermId, u32)>, rhs: bool) {
-        match self {
-            WorkerCtx::Rebuild(c) => c.assert_xor_bits(bits, rhs),
-            WorkerCtx::Incremental(c) => c.assert_xor_bits(bits, rhs),
-        }
-    }
-
-    fn block_pairs(&mut self, pairs: Vec<(TermId, BvValue)>) {
-        match self {
-            WorkerCtx::Rebuild(c) => c.block_pairs(pairs),
-            WorkerCtx::Incremental(c) => c.block_pairs(pairs),
-        }
-    }
-
-    fn track_var(&mut self, var: TermId) {
-        match self {
-            WorkerCtx::Rebuild(c) => c.track_var(var),
-            WorkerCtx::Incremental(c) => c.track_var(var),
-        }
-    }
-
-    fn check_shared(&mut self, tm: &TermManager, cache: &PreprocessCache) -> Result<SolverResult> {
-        match self {
-            WorkerCtx::Rebuild(c) => c.check_shared(tm, cache),
-            WorkerCtx::Incremental(c) => c.check_shared(tm, cache),
-        }
-    }
-
-    fn model_value(&self, tm: &TermManager, var: TermId) -> Option<Value> {
-        match self {
-            WorkerCtx::Rebuild(c) => c.model_value(tm, var),
-            WorkerCtx::Incremental(c) => c.model_value(tm, var),
-        }
-    }
-
-    fn projected_model(&self, tm: &TermManager, projection: &[TermId]) -> Option<Vec<BvValue>> {
-        match self {
-            WorkerCtx::Rebuild(c) => c.projected_model(tm, projection),
-            WorkerCtx::Incremental(c) => c.projected_model(tm, projection),
-        }
-    }
-
-    fn stats(&self) -> OracleStats {
-        match self {
-            WorkerCtx::Rebuild(c) => c.stats(),
-            WorkerCtx::Incremental(c) => c.stats(),
-        }
-    }
-
-    fn set_interrupt_flags(&mut self, flags: Vec<InterruptFlag>) {
-        match self {
-            WorkerCtx::Rebuild(c) => c.set_interrupt_flags(flags),
-            WorkerCtx::Incremental(c) => c.set_interrupt_flags(flags),
-        }
-    }
-}
-
 /// The racing-portfolio oracle (see the module docs for the architecture).
 ///
 /// All assertion-stack operations fan out to every worker immediately;
@@ -317,7 +219,7 @@ impl WorkerCtx {
 #[derive(Debug)]
 pub struct PortfolioContext {
     profiles: Vec<WorkerProfile>,
-    workers: Vec<WorkerCtx>,
+    workers: Vec<IncrementalContext>,
     /// The persistent racing threads, created once per oracle.
     pool: WorkerPool<RaceReturn>,
     /// Portfolio-level `check` count (each check is N worker solves).
@@ -362,7 +264,7 @@ impl PortfolioContext {
         let race = InterruptFlag::new();
         let mut ctxs = Vec::with_capacity(n);
         for profile in &profiles {
-            let mut worker = WorkerCtx::build(profile, config);
+            let mut worker = IncrementalContext::for_worker(config, profile);
             worker.set_interrupt_flags(vec![race.clone()]);
             ctxs.push(worker);
         }
@@ -460,7 +362,8 @@ impl PortfolioContext {
         // `Arc` for the duration of the dispatch, and the workers themselves
         // ride into the jobs and back out through the results.
         let shared_tm = Arc::new(std::mem::replace(tm, TermManager::new()));
-        let mut slots: Vec<(usize, WorkerCtx)> = self.workers.drain(..).enumerate().collect();
+        let mut slots: Vec<(usize, IncrementalContext)> =
+            self.workers.drain(..).enumerate().collect();
         slots.rotate_left(rotation);
         let jobs: Vec<Job<RaceReturn>> = slots
             .into_iter()
@@ -480,7 +383,7 @@ impl PortfolioContext {
             })
             .collect();
         let raced = self.pool.dispatch(jobs);
-        let mut returned: Vec<Option<WorkerCtx>> = (0..n).map(|_| None).collect();
+        let mut returned: Vec<Option<IncrementalContext>> = (0..n).map(|_| None).collect();
         for (slot, worker, result) in raced {
             returned[slot] = Some(worker);
             results[slot] = Some(result);
@@ -730,7 +633,7 @@ mod tests {
         for (i, a) in WORKER_PROFILES.iter().enumerate() {
             for (j, b) in WORKER_PROFILES.iter().enumerate().skip(i + 1) {
                 // Distinct as whole recipes: slots 0/1 share reference SAT
-                // options on purpose (they differ in backend style).
+                // options on purpose (they differ in context mode).
                 assert_ne!(a, b, "profiles {i} and {j} are identical");
                 assert_ne!(a.label, b.label);
             }
@@ -738,7 +641,7 @@ mod tests {
         for profile in &WORKER_PROFILES {
             let mut tm = TermManager::new();
             let x = tm.mk_var("x", Sort::BitVec(4));
-            let mut worker = WorkerCtx::build(profile, SolverConfig::default());
+            let mut worker = IncrementalContext::for_worker(SolverConfig::default(), profile);
             worker.track_var(x);
             let verdict = worker
                 .check_shared(&tm, &PreprocessCache::new())

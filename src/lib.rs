@@ -9,8 +9,8 @@
 //!   contribution), plus the CDM baseline and the exact enumerator, fronted
 //!   by the [`Session`] API;
 //! * [`pact_ir`] — the term language and SMT-LIB parser/printer;
-//! * [`pact_solver`] — the SMT oracle ([`Oracle`] trait + `Context`
-//!   reference implementation);
+//! * [`pact_solver`] — the SMT oracle ([`Oracle`] trait + the
+//!   `IncrementalContext` reference implementation);
 //! * [`pact_hash`] — the hash families;
 //! * [`pact_service`] — the counting-as-a-service batch server
 //!   ([`CountingService`]);

@@ -1,18 +1,23 @@
-//! Backend equivalence: the activation-literal incremental oracle must be
-//! observationally identical to the rebuilding reference oracle.
+//! Backend equivalence: `IncrementalContext` must be observationally
+//! identical in its default mode and in rebuild mode.
 //!
 //! The two backends answer every `check` with the same verdict (both are
 //! complete over the supported fragment), so the counting engine issues the
 //! same query sequence against either — the `CountReport` must be
 //! bit-identical in every deterministic field across seeds, hash families
 //! and thread counts.  The only sanctioned difference is the work profile:
-//! the incremental backend reports `rebuilds == 0` where the reference
-//! backend pays one rebuild per `pop` that crosses encoded assertions.
+//! the incremental backend reports `rebuilds == 0` where the rebuild
+//! backend pays one rebuild per check that follows a `pop` retiring encoded
+//! assertions.
 
 mod common;
 
 use common::deterministic_parts;
-use pact::{BackendSpec, CountOutcome, CountReport, CounterConfig, HashFamily, Session};
+use pact::{
+    BackendSpec, CountOutcome, CountReport, CounterConfig, HashFamily, OracleFactory,
+    ParallelConfig, Session,
+};
+use pact_benchgen::{cps_robustness, information_flow, GenParams};
 use pact_ir::{Rational, Sort, TermId, TermManager};
 
 /// The backend spec the old `incremental(bool)` toggle selected.
@@ -220,5 +225,61 @@ fn unsatisfiable_and_exact_paths_agree_across_backends() {
             deterministic_parts(&incremental),
             deterministic_parts(&rebuild)
         );
+    }
+}
+
+#[test]
+fn rebuild_reference_enumeration_keeps_its_search() {
+    // The benchmark's reference count: `enumerate_with` on the rebuild
+    // backend with one thread, over a generated instance printed to
+    // SMT-LIB and parsed back.  The enumeration never pops, so rebuild
+    // mode never re-encodes and its SAT search must match the figures
+    // captured on the rebuilding context it replaced.
+    // (instance, count, checks, SAT calls, conflicts)
+    let pins = [
+        (
+            cps_robustness(&GenParams {
+                scale: 1,
+                width: 9,
+                seed: 3,
+            }),
+            438,
+            439,
+            439,
+            266,
+        ),
+        (
+            information_flow(&GenParams {
+                scale: 1,
+                width: 9,
+                seed: 5,
+            }),
+            512,
+            513,
+            513,
+            256,
+        ),
+    ];
+    for (instance, count, checks, sat_calls, conflicts) in pins {
+        let mut tm = TermManager::new();
+        let parsed = pact_ir::parser::parse_script(&mut tm, &instance.to_smtlib()).unwrap();
+        let mut session = Session::builder(tm)
+            .assert_all(&parsed.asserts)
+            .project_all(&parsed.projection)
+            .build()
+            .unwrap();
+        let config = CounterConfig {
+            oracle_factory: OracleFactory::from_spec(BackendSpec::Rebuild),
+            parallel: ParallelConfig { threads: 1 },
+            ..CounterConfig::default()
+        };
+        let report = session.enumerate_with(1 << 16, &config).unwrap();
+        let name = &instance.name;
+        assert_eq!(report.outcome, CountOutcome::Exact(count), "{name}");
+        let oracle = report.stats.oracle;
+        assert_eq!(oracle.checks, checks, "{name}");
+        assert_eq!(oracle.sat_calls, sat_calls, "{name}");
+        assert_eq!(oracle.conflicts, conflicts, "{name}");
+        assert_eq!(oracle.rebuilds, 0, "{name}");
     }
 }

@@ -51,7 +51,7 @@ fn enumerate(
                     .expect("model after SAT");
                 let values: Vec<u128> = model.iter().map(BvValue::as_u128).collect();
                 assert!(!found.contains(&values), "model {values:?} repeated");
-                pact::saturating::block_projected_model(oracle, tm, projection, &model);
+                oracle.block_model(tm, projection, &model);
                 found.push(values);
             }
             SolverResult::Unsat => break,

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use pact::{CancellationToken, CountOutcome, OracleFactory, ProgressEvent, Session};
 use pact_ir::{Sort, TermId, TermManager};
 use pact_solver::{
-    cubes_partition, resolve_cube_verdicts, Context, CubeBit, CubeContext, SolverConfig,
+    cubes_partition, resolve_cube_verdicts, CubeBit, CubeContext, IncrementalContext, SolverConfig,
     SolverResult,
 };
 use proptest::prelude::*;
@@ -156,7 +156,7 @@ fn conquering_cubes_in_any_order_gives_the_same_decisive_answer() {
     ];
     assert!(cubes_partition(&cubes));
     for formula in [&sat_formula, &unsat_formula] {
-        let mut reference = Context::new();
+        let mut reference = IncrementalContext::new();
         reference.track_var(x);
         for &f in formula {
             reference.assert_term(f);
@@ -167,7 +167,7 @@ fn conquering_cubes_in_any_order_gives_the_same_decisive_answer() {
             cubes.clone(),
             cubes.iter().rev().cloned().collect::<Vec<_>>(),
         ] {
-            let mut oracle = Context::new();
+            let mut oracle = IncrementalContext::rebuilding(SolverConfig::default());
             oracle.track_var(x);
             for &f in formula {
                 oracle.assert_term(f);

@@ -196,7 +196,9 @@ fn brute_force_models(instance: &TinyInstance) -> Vec<Vec<u128>> {
     let total_bits: u32 = widths.iter().sum();
     assert!(total_bits <= 7, "brute force caps at 7 projected bits");
 
-    let mut ctx = pact_solver::Context::new();
+    // Rebuild mode: every check after a `pop` re-encodes into a fresh
+    // solver, so the reference never relies on frame retirement.
+    let mut ctx = pact_solver::IncrementalContext::rebuilding(SolverConfig::default());
     for &v in &instance.projection {
         ctx.track_var(v);
     }
@@ -451,12 +453,7 @@ fn enumeration_returns_exactly_the_brute_forced_model_set() {
                             "{}/{name}: model repeated",
                             instance.name
                         );
-                        pact::saturating::block_projected_model(
-                            &mut *oracle,
-                            &mut tm,
-                            &instance.projection,
-                            &model,
-                        );
+                        oracle.block_model(&mut tm, &instance.projection, &model);
                         found.push(values);
                     }
                     SolverResult::Unsat => break,

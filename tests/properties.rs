@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use pact::{median, pact_count, relative_error, BackendSpec, CountOutcome, CounterConfig};
 use pact_hash::{generate, HashFamily};
 use pact_ir::{BvValue, Rational, Sort, TermId, TermManager, Value};
-use pact_solver::{Context, SolverResult};
+use pact_solver::{IncrementalContext, SolverResult};
 use rand::{rngs::StdRng, SeedableRng};
 
 // ---------------------------------------------------------------------------
@@ -147,7 +147,7 @@ proptest! {
         let mut tm = TermManager::new();
         let x = tm.mk_var("x", Sort::BitVec(5));
         let asserts = build_formula(&mut tm, x, &spec);
-        let mut ctx = Context::new();
+        let mut ctx = IncrementalContext::new();
         ctx.track_var(x);
         for &a in &asserts {
             ctx.assert_term(a);
@@ -518,7 +518,7 @@ proptest! {
             .collect();
 
         // Observed cell: enumerate the models of the asserted constraint.
-        let mut ctx = Context::new();
+        let mut ctx = IncrementalContext::new();
         ctx.track_var(x);
         h.assert_into(&mut ctx, &mut tm);
         let mut observed = Vec::new();

@@ -165,3 +165,52 @@ fn cps_counts_match_the_pinned_search() {
     );
     assert_xor_calls_dropped("cps_robustness", &reports, &pins);
 }
+
+#[test]
+fn cdm_counts_match_the_pinned_search() {
+    // CDM runs the counter's boundary search (a SAT cell counts as
+    // saturated, an UNSAT one as small), so its probes, and hence its
+    // estimates, oracle calls and cells, are those of its own gallop and
+    // bisection, captured before the two were merged.  The interval counts
+    // end on a boundary; the CPS count under seed 1 saturates every prefix.
+    let mut tm = TermManager::new();
+    let x = tm.mk_var("x", Sort::BitVec(10));
+    let k = tm.mk_bv_const(700, 10);
+    let interval = tm.mk_bv_ult(x, k).unwrap();
+    let cps = cps_robustness(&GenParams {
+        scale: 1,
+        width: 8,
+        seed: 4,
+    });
+    // (name, seed, estimate bits, oracle calls, cells explored)
+    let pins: [(&str, u64, u64, u64, u64); 4] = [
+        ("x < 700", 1, 0x4086a09e667f3bcd, 37, 36),
+        ("x < 700", 2, 0x4086a09e667f3bcd, 37, 36),
+        ("cps_robustness", 1, 0x4070000000000000, 32, 31),
+        ("cps_robustness", 2, 0x4066a09e667f3bcd, 35, 34),
+    ];
+    for (name, seed, bits, oracle_calls, cells) in pins {
+        let builder = if name == "x < 700" {
+            Session::builder(tm.clone()).assert(interval).project(x)
+        } else {
+            Session::builder(cps.tm.clone())
+                .assert_all(&cps.asserts)
+                .project_all(&cps.projection)
+        };
+        let mut session = builder.seed(seed).iterations(5).threads(1).build().unwrap();
+        let report = session.count_cdm().unwrap();
+        let case = format!("CDM {name}, seed {seed}");
+        let expected = f64::from_bits(bits);
+        assert_eq!(
+            report.outcome,
+            CountOutcome::Approximate {
+                estimate: expected,
+                log2_estimate: expected.log2(),
+            },
+            "{case}"
+        );
+        assert_eq!(report.stats.iterations, 5, "{case}");
+        assert_eq!(report.stats.oracle_calls, oracle_calls, "{case}");
+        assert_eq!(report.stats.cells_explored, cells, "{case}");
+    }
+}

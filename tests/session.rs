@@ -1,10 +1,11 @@
 //! Session-level integration tests: the pluggable-oracle contract.
 //!
-//! The counting core must have no compiled-in dependency on the concrete
-//! `Context` constructor: everything it needs goes through the `Oracle`
+//! The counting core must have no compiled-in dependency on a concrete
+//! context constructor: everything it needs goes through the `Oracle`
 //! trait and the `OracleFactory` hook.  These tests prove it by running a
 //! `Session` against an *instrumented* oracle (a wrapper that counts every
-//! trait call before delegating to `Context`) and checking that
+//! trait call before delegating to a rebuild-mode `IncrementalContext`) and
+//! checking that
 //!
 //! 1. the engine really routed its work through the custom backend,
 //! 2. the report is identical to the built-in backend's (the wrapper is
@@ -23,7 +24,7 @@ use pact::{
     BackendSpec, CountError, CountOutcome, CounterConfig, OracleFactory, ProgressEvent, Session,
 };
 use pact_ir::{BvValue, Sort, TermId, TermManager, Value};
-use pact_solver::{Context, Oracle, OracleStats, SolverConfig, SolverResult};
+use pact_solver::{IncrementalContext, Oracle, OracleStats, SolverConfig, SolverResult};
 
 /// Cross-thread tally of every trait method the engine invoked, shared by
 /// all oracles a factory builds.
@@ -40,9 +41,9 @@ struct OpCounts {
 }
 
 /// A semantics-preserving oracle: counts calls, then delegates to the
-/// reference [`Context`].
+/// reference [`IncrementalContext`] in rebuild mode.
 struct Instrumented {
-    inner: Context,
+    inner: IncrementalContext,
     ops: Arc<OpCounts>,
 }
 
@@ -97,7 +98,7 @@ fn instrumented_factory() -> (OracleFactory, Arc<OpCounts>) {
     let factory = OracleFactory::new(move |config: SolverConfig| {
         handle.built.fetch_add(1, Ordering::Relaxed);
         Box::new(Instrumented {
-            inner: Context::with_config(config),
+            inner: IncrementalContext::rebuilding(config),
             ops: Arc::clone(&handle),
         })
     });
@@ -249,7 +250,7 @@ fn oracle_accounting_contract_is_uniform_across_backends() {
         assert_eq!(mid.checks, 2, "{name}");
         assert!(mid.conflicts >= after_first.conflicts, "{name}");
 
-        oracle.pop(); // rebuild backends discard a solver here
+        oracle.pop(); // rebuild mode discards the solver at the next check
         assert_eq!(oracle.check(&mut tm).unwrap(), SolverResult::Sat, "{name}");
         let last = oracle.stats();
         assert_eq!(last.checks, 3, "{name}");

@@ -31,7 +31,7 @@ use proptest::prelude::*;
 use pact::Session;
 use pact_ir::{Sort, TermManager};
 use pact_service::wire::{serve_connection, serve_listener, WireConnection, WIRE_SCHEMA_VERSION};
-use pact_service::{CountRequest, CountingService, ServiceConfig};
+use pact_service::{CountRequest, CountingService, RequestEvent, ServiceConfig};
 
 fn service(shards: usize) -> CountingService {
     CountingService::new(ServiceConfig {
@@ -527,6 +527,19 @@ impl Write for RecordingWriter {
     }
 }
 
+/// A count that keeps a shard busy until it is cancelled.
+fn blocker_request() -> CountRequest {
+    let mut tm = TermManager::new();
+    let x = tm.mk_var("x", Sort::BitVec(12));
+    let c = tm.mk_bv_const(2048, 12);
+    let f = tm.mk_bv_ule(c, x).unwrap();
+    CountRequest::new(tm)
+        .assert(f)
+        .project(x)
+        .seed(1)
+        .iterations(2000)
+}
+
 fn probe_request() -> CountRequest {
     let mut tm = TermManager::new();
     let x = tm.mk_var("x", Sort::BitVec(4));
@@ -542,6 +555,10 @@ const DECLS: &str = "(set-logic QF_BV)\n(declare-const x (_ BitVec 8))\n\
 fn one_flush_is_one_write_of_whole_lines() {
     watchdog(Duration::from_secs(60), || {
         let svc = service(1);
+        // Occupy the single shard, so request 0 waits in the queue and
+        // cannot resolve before its ack has been written.
+        let mut blocker = svc.submit(blocker_request()).unwrap();
+        blocker.wait_for_event(|e| matches!(e, RequestEvent::Admitted { .. }));
         let (chunk_tx, chunks) = channel();
         let (drained, reader_done) = channel();
         let (entered, first_write) = channel();
@@ -562,6 +579,8 @@ fn one_flush_is_one_write_of_whole_lines() {
                 .send(format!("{DECLS}(count x)\n").into_bytes())
                 .unwrap();
             first_write.recv().unwrap();
+            // Ack 0 is in the held write; only now may request 0 run.
+            blocker.cancel();
             // The single shard serves in order: once a probe submitted
             // behind request 0 resolves, request 0 has been delivered.
             let mut probe = svc.submit(probe_request()).unwrap();
