@@ -1,11 +1,20 @@
 //! Conflict-driven clause learning SAT solver with native XOR reasoning.
+//!
+//! Every attached clause lives in one arena (MiniSat's layout; Eén and
+//! Sörensson, SAT 2003): a length header followed by the literals, with a
+//! clause referred to by the `u32` offset of its header.  A trail literal
+//! implied by an XOR row records only the row; conflict analysis rebuilds
+//! the row's clause into a scratch buffer when it reads it (see
+//! [`XorEngine::explain`]).  Adding a clause, learning one and propagating
+//! therefore allocate only when the arena, a watch list or a buffer the
+//! solver keeps has to grow.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use crate::heap::VarHeap;
 use crate::lit::{LBool, Lit, Var};
-use crate::xor::{AddXor, XorEngine, XorEvent};
+use crate::xor::{AddXor, XorEngine};
 
 /// A cloneable flag that asks an in-flight [`Solver::solve`] call to give up
 /// at its next safe point (a conflict or a restart boundary).
@@ -102,17 +111,34 @@ pub struct SatStats {
     pub xor_rows: u64,
 }
 
-type ClauseRef = usize;
-
-#[derive(Debug, Clone)]
-struct Clause {
-    lits: Vec<Lit>,
-}
+/// Offset of a clause's length header in the clause arena.
+type ClauseRef = u32;
 
 #[derive(Debug, Clone, Copy)]
 struct Watcher {
     clause: ClauseRef,
     blocker: Lit,
+}
+
+/// Why a trail literal holds (decisions and assumptions have none).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Reason {
+    /// An attached clause whose first literal is the implied one.
+    Clause(ClauseRef),
+    /// An XOR row, explained on demand.  A literal fixed at level zero may
+    /// keep a row that was retired (and its slot reused) since: analysis
+    /// never reads a level-zero reason.
+    Xor(u32),
+}
+
+/// What propagation found falsified.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Conflict {
+    /// An attached clause.
+    Clause(ClauseRef),
+    /// An XOR row; with the literal it implied when that literal was
+    /// already false.
+    Xor(u32, Option<Lit>),
 }
 
 const VAR_DECAY: f64 = 0.95;
@@ -135,11 +161,15 @@ const RESTART_BASE: u64 = 100;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Solver {
-    clauses: Vec<Clause>,
+    /// Every attached clause, back to back: a header whose code is the
+    /// clause length, then the literals.
+    arena: Vec<Lit>,
+    /// Number of clauses in `arena`.
+    num_clauses: usize,
     watches: Vec<Vec<Watcher>>,
     assigns: Vec<LBool>,
     level: Vec<u32>,
-    reason: Vec<Option<ClauseRef>>,
+    reason: Vec<Option<Reason>>,
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
     qhead: usize,
@@ -159,19 +189,27 @@ pub struct Solver {
     /// Cooperative interrupts: `solve` gives up when any flag is raised.
     interrupts: Vec<InterruptFlag>,
     /// Per-variable attached-clause occurrence counts (problem and learnt
-    /// clauses; transient XOR reason clauses are excluded), maintained
-    /// incrementally so the lookahead never re-scans the clause store.
+    /// clauses), maintained incrementally so the lookahead never re-scans
+    /// the clause store.
     occurrences: Vec<u64>,
     /// The assumptions the kept trail was built under.  A `Sat` answer
     /// leaves its full assignment on the trail; the next `solve` with the
     /// same assumptions resumes from it instead of re-deciding from the root.
     trail_assumptions: Vec<Lit>,
+    /// Reused buffers: the clause `add_clause` simplifies, the clause
+    /// `analyze` learns, the XOR clause it reads, and the implications one
+    /// XOR propagation step reports.
+    added: Vec<Lit>,
+    learnt: Vec<Lit>,
+    xor_clause: Vec<Lit>,
+    xor_implied: Vec<(Lit, u32)>,
 }
 
 impl Default for Solver {
     fn default() -> Self {
         Solver {
-            clauses: Vec::new(),
+            arena: Vec::new(),
+            num_clauses: 0,
             watches: Vec::new(),
             assigns: Vec::new(),
             level: Vec::new(),
@@ -194,6 +232,10 @@ impl Default for Solver {
             interrupts: Vec::new(),
             occurrences: Vec::new(),
             trail_assumptions: Vec::new(),
+            added: Vec::new(),
+            learnt: Vec::new(),
+            xor_clause: Vec::new(),
+            xor_implied: Vec::new(),
         }
     }
 }
@@ -228,9 +270,10 @@ impl Solver {
         self.assigns.len()
     }
 
-    /// Number of problem clauses plus learnt clauses.
+    /// Number of attached problem clauses plus learnt clauses.  Units and
+    /// XOR rows are not clauses; a clause simplified away is not counted.
     pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
+        self.num_clauses
     }
 
     /// Search statistics accumulated over all `solve` calls.
@@ -298,7 +341,16 @@ impl Solver {
         if !self.ok {
             return false;
         }
-        let mut clause = lits.to_vec();
+        let mut clause = std::mem::take(&mut self.added);
+        clause.clear();
+        clause.extend_from_slice(lits);
+        let ok = self.add_simplified(&mut clause);
+        self.added = clause;
+        ok
+    }
+
+    /// The body of [`Solver::add_clause`] over its reused buffer.
+    fn add_simplified(&mut self, clause: &mut Vec<Lit>) -> bool {
         clause.sort_unstable();
         clause.dedup();
         // A literal and its negation differ only in the lowest code bit, so
@@ -355,7 +407,7 @@ impl Solver {
     /// allowed next to a true watch assigned no later than it.  Literals are
     /// ordered non-false first, then false by descending level, and the
     /// trail is cut back when the first two do not already satisfy that.
-    fn attach_above_root(&mut self, mut clause: Vec<Lit>) {
+    fn attach_above_root(&mut self, clause: &mut [Lit]) {
         if self.decision_level() > 0 {
             let rank = |s: &Self, l: Lit| match s.value(l) {
                 LBool::False => s.level[l.var().index()],
@@ -383,9 +435,8 @@ impl Solver {
             // Otherwise the clause is unit at `second`: assert it there.
             _ => {
                 self.cancel_until(second);
-                let lit = clause[0];
                 let cref = self.attach_clause(clause);
-                self.enqueue(lit, Some(cref));
+                self.enqueue(clause[0], Some(Reason::Clause(cref)));
             }
         }
     }
@@ -409,7 +460,7 @@ impl Solver {
         match self.xor.add_row(vars, rhs, &self.assigns) {
             AddXor::Stored(row) => {
                 self.stats.xor_rows = self.xor.len() as u64;
-                (true, Some(row))
+                (true, Some(row as usize))
             }
             AddXor::Trivial => (true, None),
             AddXor::Unit(lit) => {
@@ -432,15 +483,18 @@ impl Solver {
     /// first, since it may hold literals the row implied.
     pub fn deactivate_xor(&mut self, row: usize) {
         self.cancel_until(0);
-        self.xor.deactivate(row);
+        if let Ok(row) = u32::try_from(row) {
+            self.xor.deactivate(row);
+        }
     }
 
-    fn attach_clause(&mut self, lits: Vec<Lit>) -> ClauseRef {
+    /// Appends a clause to the arena and watches its first two literals.
+    fn attach_clause(&mut self, lits: &[Lit]) -> ClauseRef {
         debug_assert!(lits.len() >= 2);
-        for &l in &lits {
+        for &l in lits {
             self.occurrences[l.var().index()] += 1;
         }
-        let cref = self.clauses.len();
+        let cref = ClauseRef::try_from(self.arena.len()).expect("clause arena fits u32 offsets");
         self.watches[(!lits[0]).code()].push(Watcher {
             clause: cref,
             blocker: lits[1],
@@ -449,23 +503,24 @@ impl Solver {
             clause: cref,
             blocker: lits[0],
         });
-        self.clauses.push(Clause { lits });
+        self.arena.push(Lit::from_code(lits.len()));
+        self.arena.extend_from_slice(lits);
+        self.num_clauses += 1;
         cref
     }
 
-    /// Stores a clause without attaching watchers; used for XOR reasons and
-    /// conflicts, which are only read during conflict analysis.
-    fn store_virtual_clause(&mut self, lits: Vec<Lit>) -> ClauseRef {
-        let cref = self.clauses.len();
-        self.clauses.push(Clause { lits });
-        cref
+    /// The literals of the clause at `cref`.
+    fn clause_mut(&mut self, cref: ClauseRef) -> &mut [Lit] {
+        let start = cref as usize + 1;
+        let len = self.arena[cref as usize].code();
+        &mut self.arena[start..start + len]
     }
 
     fn decision_level(&self) -> u32 {
         self.trail_lim.len() as u32
     }
 
-    fn enqueue(&mut self, lit: Lit, reason: Option<ClauseRef>) -> bool {
+    fn enqueue(&mut self, lit: Lit, reason: Option<Reason>) -> bool {
         match self.value(lit) {
             LBool::True => true,
             LBool::False => false,
@@ -482,8 +537,8 @@ impl Solver {
         }
     }
 
-    /// Propagates all enqueued literals; returns the conflicting clause, if any.
-    fn propagate(&mut self) -> Option<ClauseRef> {
+    /// Propagates all enqueued literals; returns the conflict, if any.
+    fn propagate(&mut self) -> Option<Conflict> {
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
@@ -497,8 +552,9 @@ impl Solver {
         None
     }
 
-    fn propagate_clauses(&mut self, p: Lit) -> Option<ClauseRef> {
+    fn propagate_clauses(&mut self, p: Lit) -> Option<Conflict> {
         let mut watchers = std::mem::take(&mut self.watches[p.code()]);
+        let false_lit = !p;
         let mut i = 0;
         let mut conflict = None;
         while i < watchers.len() {
@@ -508,16 +564,17 @@ impl Solver {
                 continue;
             }
             let cref = w.clause;
+            let assigns = &self.assigns;
+            let value = |l: Lit| assigns[l.var().index()].of_lit(l);
+            let start = cref as usize + 1;
+            let len = self.arena[cref as usize].code();
+            let lits = &mut self.arena[start..start + len];
             // Ensure the false literal (¬p) is at position 1.
-            let false_lit = !p;
-            {
-                let clause = &mut self.clauses[cref];
-                if clause.lits[0] == false_lit {
-                    clause.lits.swap(0, 1);
-                }
+            if lits[0] == false_lit {
+                lits.swap(0, 1);
             }
-            let first = self.clauses[cref].lits[0];
-            if first != w.blocker && self.value(first) == LBool::True {
+            let first = lits[0];
+            if first != w.blocker && value(first) == LBool::True {
                 watchers[i] = Watcher {
                     clause: cref,
                     blocker: first,
@@ -526,20 +583,9 @@ impl Solver {
                 continue;
             }
             // Look for a new literal to watch.
-            let mut new_watch = None;
-            {
-                let clause = &self.clauses[cref];
-                for (k, &l) in clause.lits.iter().enumerate().skip(2) {
-                    if self.value(l) != LBool::False {
-                        new_watch = Some(k);
-                        break;
-                    }
-                }
-            }
-            if let Some(k) = new_watch {
-                let clause = &mut self.clauses[cref];
-                clause.lits.swap(1, k);
-                let new_lit = clause.lits[1];
+            if let Some(k) = (2..lits.len()).find(|&k| value(lits[k]) != LBool::False) {
+                lits.swap(1, k);
+                let new_lit = lits[1];
                 self.watches[(!new_lit).code()].push(Watcher {
                     clause: cref,
                     blocker: first,
@@ -553,39 +599,35 @@ impl Solver {
                 blocker: first,
             };
             i += 1;
-            if self.value(first) == LBool::False {
-                conflict = Some(cref);
+            if value(first) == LBool::False {
+                conflict = Some(Conflict::Clause(cref));
                 self.qhead = self.trail.len();
                 break;
             }
-            self.enqueue(first, Some(cref));
+            self.enqueue(first, Some(Reason::Clause(cref)));
         }
-        // Put back the watchers we have not consumed.
-        let existing = std::mem::take(&mut self.watches[p.code()]);
-        watchers.extend(existing);
+        // A moved watch never lands on `p`'s own list: its new literal is
+        // not false, and `¬p` is.
+        debug_assert!(self.watches[p.code()].is_empty());
         self.watches[p.code()] = watchers;
         conflict
     }
 
-    fn propagate_xor(&mut self, p: Lit) -> Option<ClauseRef> {
-        let events = self.xor.on_assign(p.var(), &self.assigns);
-        for event in events {
-            match event {
-                XorEvent::Implied { lit, reason } => {
-                    let cref = self.store_virtual_clause(reason);
-                    if !self.enqueue(lit, Some(cref)) {
-                        // The implied literal is already false: the reason
-                        // clause is falsified and acts as the conflict.
-                        return Some(cref);
-                    }
-                }
-                XorEvent::Conflict(clause) => {
-                    let cref = self.store_virtual_clause(clause);
-                    return Some(cref);
-                }
+    fn propagate_xor(&mut self, p: Lit) -> Option<Conflict> {
+        let mut implied = std::mem::take(&mut self.xor_implied);
+        implied.clear();
+        let falsified = self.xor.on_assign(p.var(), &self.assigns, &mut implied);
+        let mut conflict = falsified.map(|row| Conflict::Xor(row, None));
+        for &(lit, row) in &implied {
+            if !self.enqueue(lit, Some(Reason::Xor(row))) {
+                // The implied literal is already false: the row's reason
+                // clause is falsified and acts as the conflict.
+                conflict = Some(Conflict::Xor(row, Some(lit)));
+                break;
             }
         }
-        None
+        self.xor_implied = implied;
+        conflict
     }
 
     fn cancel_until(&mut self, target_level: u32) {
@@ -621,18 +663,45 @@ impl Solver {
         self.var_inc /= VAR_DECAY;
     }
 
-    /// First-UIP conflict analysis.  Returns the learnt clause (asserting
-    /// literal first) and the backjump level.
-    fn analyze(&mut self, conflict: ClauseRef) -> (Vec<Lit>, u32) {
-        let mut learnt: Vec<Lit> = vec![Lit::from_code(0)]; // placeholder for UIP
+    /// Makes `xor_clause` the clause of an XOR reason or conflict.
+    fn explain_xor(&mut self, row: u32, implied: Option<Lit>) {
+        self.xor
+            .explain(row, implied, &self.assigns, &mut self.xor_clause);
+    }
+
+    /// Literal `k` of the clause analysis is reading: an arena clause, or
+    /// (for `None`) the XOR clause in `xor_clause`.
+    fn analyzed_lit(&self, clause: Option<ClauseRef>, k: usize) -> Lit {
+        match clause {
+            Some(cref) => self.arena[cref as usize + 1 + k],
+            None => self.xor_clause[k],
+        }
+    }
+
+    /// First-UIP conflict analysis.  Leaves the learnt clause (asserting
+    /// literal first) in `learnt` and returns the backjump level.
+    fn analyze(&mut self, conflict: Conflict) -> u32 {
+        let mut learnt = std::mem::take(&mut self.learnt);
+        learnt.clear();
+        learnt.push(Lit::from_code(0)); // placeholder for UIP
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
-        let mut cref = conflict;
+        let mut clause = match conflict {
+            Conflict::Clause(cref) => Some(cref),
+            Conflict::Xor(row, implied) => {
+                self.explain_xor(row, implied);
+                None
+            }
+        };
         let mut trail_idx = self.trail.len();
 
         loop {
-            for k in usize::from(p.is_some())..self.clauses[cref].lits.len() {
-                let q = self.clauses[cref].lits[k];
+            let len = match clause {
+                Some(cref) => self.arena[cref as usize].code(),
+                None => self.xor_clause.len(),
+            };
+            for k in usize::from(p.is_some())..len {
+                let q = self.analyzed_lit(clause, k);
                 let v = q.var();
                 if !self.seen[v.index()] && self.level[v.index()] > 0 {
                     self.seen[v.index()] = true;
@@ -660,14 +729,24 @@ impl Solver {
                 learnt[0] = !p_lit;
                 break;
             }
-            cref = self.reason[p_lit.var().index()].expect("implied literal has a reason");
-            // The reason clause stores the implied literal first; make sure of it.
-            let reason_lits = &mut self.clauses[cref].lits;
-            if reason_lits[0].var() != p_lit.var() {
-                if let Some(pos) = reason_lits.iter().position(|l| l.var() == p_lit.var()) {
-                    reason_lits.swap(0, pos);
+            clause = match self.reason[p_lit.var().index()].expect("implied literal has a reason") {
+                Reason::Clause(cref) => {
+                    // The reason clause stores the implied literal first;
+                    // make sure of it.
+                    let lits = self.clause_mut(cref);
+                    if lits[0].var() != p_lit.var() {
+                        if let Some(pos) = lits.iter().position(|l| l.var() == p_lit.var()) {
+                            lits.swap(0, pos);
+                        }
+                    }
+                    Some(cref)
                 }
-            }
+                // Rebuilt with the implied literal first.
+                Reason::Xor(row) => {
+                    self.explain_xor(row, Some(p_lit));
+                    None
+                }
+            };
         }
 
         for &l in &learnt[1..] {
@@ -687,7 +766,8 @@ impl Solver {
             learnt.swap(1, max_i);
             self.level[learnt[1].var().index()]
         };
-        (learnt, backjump)
+        self.learnt = learnt;
+        backjump
     }
 
     fn pick_branch_var(&mut self) -> Option<Var> {
@@ -817,17 +897,17 @@ impl Solver {
                     self.ok = false;
                     return SatResult::Unsat;
                 }
-                let (learnt, backjump) = self.analyze(conflict);
+                let backjump = self.analyze(conflict);
                 self.cancel_until(backjump);
-                if learnt.len() == 1 {
-                    if !self.enqueue(learnt[0], None) {
+                let asserting = self.learnt[0];
+                if self.learnt.len() == 1 {
+                    if !self.enqueue(asserting, None) {
                         self.ok = false;
                         return SatResult::Unsat;
                     }
                 } else {
-                    let asserting = learnt[0];
-                    let cref = self.attach_learnt(learnt);
-                    self.enqueue(asserting, Some(cref));
+                    let cref = self.attach_learnt();
+                    self.enqueue(asserting, Some(Reason::Clause(cref)));
                 }
                 self.decay_activities();
                 if self.conflict_exhausted(budget_start) || self.interrupted() {
@@ -885,9 +965,13 @@ impl Solver {
         }
     }
 
-    fn attach_learnt(&mut self, lits: Vec<Lit>) -> ClauseRef {
+    /// Attaches the clause `analyze` left in `learnt`.
+    fn attach_learnt(&mut self) -> ClauseRef {
         self.stats.learnts += 1;
-        self.attach_clause(lits)
+        let learnt = std::mem::take(&mut self.learnt);
+        let cref = self.attach_clause(&learnt);
+        self.learnt = learnt;
+        cref
     }
 
     /// Copies the current assignment into `model`, reusing its buffer: an
@@ -1251,6 +1335,31 @@ mod tests {
     }
 
     #[test]
+    fn two_solvers_built_through_one_closure_both_refute_pigeonhole() {
+        // The standalone reproducer of a release-build abort: the same
+        // closure fills two fresh solvers, and only then does either solve.
+        let build = |mut s: Solver| {
+            let p: Vec<Vec<Var>> = (0..5).map(|_| vars(&mut s, 4)).collect();
+            for row in &p {
+                let lits: Vec<Lit> = row.iter().map(|v| v.positive()).collect();
+                s.add_clause(&lits);
+            }
+            for i in 0..5 {
+                for k in (i + 1)..5 {
+                    for (a, b) in p[i].iter().zip(&p[k]) {
+                        s.add_clause(&[a.negative(), b.negative()]);
+                    }
+                }
+            }
+            s
+        };
+        let mut a = build(Solver::new());
+        let mut b = build(Solver::new());
+        assert_eq!(a.solve(&[]), SatResult::Unsat);
+        assert_eq!(b.solve(&[]), SatResult::Unsat);
+    }
+
+    #[test]
     fn lookahead_candidates_rank_by_activity_then_occurrence() {
         let mut s = Solver::new();
         let v = vars(&mut s, 4);
@@ -1419,6 +1528,163 @@ mod tests {
         assert_eq!(s.solve(&[]), SatResult::Sat);
         s.deactivate_xor(row.expect("stored row"));
         assert_eq!(s.decision_level(), 0);
+    }
+
+    #[test]
+    fn num_clauses_counts_attached_clauses_only() {
+        let mut s = Solver::new();
+        let v = vars(&mut s, 10);
+        assert!(s.add_xor(&v[..6], true));
+        assert!(s.add_xor(&v[3..], false));
+        assert!(s.add_xor(&[v[0], v[4], v[8]], true));
+        assert!(s.add_clause(&[v[0].positive(), v[9].positive()]));
+        assert_eq!(s.num_clauses(), 1);
+        // Units and clauses satisfied at level zero are not attached.
+        assert!(s.add_clause(&[v[1].positive()]));
+        assert!(s.add_clause(&[v[1].positive(), v[2].positive()]));
+        assert_eq!(s.num_clauses(), 1);
+        // An XOR-heavy enumeration: every blocked model and every learnt
+        // clause is one attached clause, and no XOR implication is.
+        let mut models = 0;
+        while s.solve(&[]) == SatResult::Sat {
+            models += 1;
+            let blocking: Vec<Lit> = v.iter().map(|&x| x.lit(!s.model_value(x))).collect();
+            s.add_clause(&blocking);
+        }
+        let stats = s.stats();
+        assert_eq!(models, 48);
+        assert!(stats.propagations > 3 * s.num_clauses() as u64, "{stats:?}");
+        assert_eq!(s.num_clauses() as u64, 1 + models as u64 + stats.learnts);
+    }
+
+    /// The clause the eager engine stored for a row when it reported an
+    /// implication of `implied` (that literal first) or a conflict: the
+    /// negated values of the row's variables in row order.
+    fn eager_clause(row: &[Var], implied: Option<Lit>, s: &Solver) -> Vec<Lit> {
+        let mut clause: Vec<Lit> = implied.into_iter().collect();
+        for &v in row {
+            if Some(v) != implied.map(Lit::var) {
+                clause.push(!v.lit(s.value(v.positive()) == LBool::True));
+            }
+        }
+        clause
+    }
+
+    /// Checks a rebuilt XOR clause against the row it came from: entailed
+    /// by the row (by brute force over all `n` variables), `first` first
+    /// with the value `first_true`, every other literal false, and equal
+    /// to the eager clause.
+    fn check_xor_clause(
+        s: &Solver,
+        n: usize,
+        (row, rhs): &(Vec<Var>, bool),
+        first: Option<(Lit, bool)>,
+        eager: &[Lit],
+    ) {
+        let clause = s.xor_clause.clone();
+        assert_eq!(clause, eager, "lazy clause differs from the eager one");
+        let others = match first {
+            Some((lit, first_true)) => {
+                assert_eq!(clause[0], lit);
+                assert_eq!(s.value(lit) == LBool::True, first_true);
+                &clause[1..]
+            }
+            None => &clause[..],
+        };
+        assert!(others.iter().all(|&l| s.value(l) == LBool::False));
+        for mask in 0u32..1 << n {
+            let value = |v: Var| (mask >> v.index()) & 1 == 1;
+            let parity = row.iter().fold(false, |acc, &v| acc ^ value(v));
+            if parity == *rhs {
+                assert!(
+                    clause.iter().any(|&l| value(l.var()) == l.is_positive()),
+                    "clause {clause:?} is not entailed by its row"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn lazy_xor_clauses_match_the_eager_ones() {
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |bound: usize| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng % bound as u64) as usize
+        };
+        let (mut reasons, mut failed, mut falsified) = (0, 0, 0);
+        for _ in 0..400 {
+            let n = 4 + next(9);
+            let mut s = Solver::new();
+            let v = vars(&mut s, n);
+            let mut rows: Vec<(Vec<Var>, bool)> = Vec::new();
+            let mut ids = Vec::new();
+            for _ in 0..1 + next(5) {
+                // Rows of two or more variables are stored as given: no
+                // unit ever folds a later row at level zero.
+                let row: Vec<Var> = v.iter().copied().filter(|_| next(2) == 0).collect();
+                let rhs = next(2) == 0;
+                if row.len() >= 2 {
+                    let (ok, id) = s.add_xor_tracked(&row, rhs);
+                    assert!(ok);
+                    ids.push(id.expect("stored row") as u32);
+                    rows.push((row, rhs));
+                }
+            }
+            let row_of = |id: u32| &rows[ids.iter().position(|&r| r == id).expect("known row")];
+            // The eager reason of every XOR-implied trail literal, taken
+            // right after the propagation that implied it.
+            let mut eager: Vec<Option<Vec<Lit>>> = vec![None; n];
+            while s.decision_level() < n as u32 {
+                let free: Vec<Var> = v
+                    .iter()
+                    .copied()
+                    .filter(|x| s.value(x.positive()) == LBool::Undef)
+                    .collect();
+                if free.is_empty() {
+                    break;
+                }
+                s.trail_lim.push(s.trail.len());
+                s.enqueue(free[next(free.len())].lit(next(2) == 0), None);
+                match s.propagate() {
+                    Some(Conflict::Xor(id, implied)) => {
+                        s.explain_xor(id, implied);
+                        let expected = eager_clause(&row_of(id).0, implied, &s);
+                        check_xor_clause(&s, n, row_of(id), implied.map(|l| (l, false)), &expected);
+                        match implied {
+                            Some(_) => failed += 1,
+                            None => falsified += 1,
+                        }
+                        break;
+                    }
+                    Some(Conflict::Clause(_)) => break,
+                    None => {}
+                }
+                for &lit in &s.trail {
+                    if let (Some(Reason::Xor(id)), None) =
+                        (s.reason[lit.var().index()], &eager[lit.var().index()])
+                    {
+                        eager[lit.var().index()] = Some(eager_clause(&row_of(id).0, Some(lit), &s));
+                    }
+                }
+                // Every XOR reason on the trail, rebuilt now, still equals
+                // the clause taken when it was implied.
+                for k in 0..s.trail.len() {
+                    let lit = s.trail[k];
+                    if let Some(Reason::Xor(id)) = s.reason[lit.var().index()] {
+                        s.explain_xor(id, Some(lit));
+                        let expected = eager[lit.var().index()].clone().expect("recorded");
+                        check_xor_clause(&s, n, row_of(id), Some((lit, true)), &expected);
+                        reasons += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            reasons > 0 && failed > 0 && falsified > 0,
+            "{reasons} {failed} {falsified}"
+        );
     }
 
     #[test]

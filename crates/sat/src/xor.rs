@@ -6,6 +6,13 @@
 //! outside the clause database and propagated with a two-watched-variable
 //! scheme, so a parity constraint over `k` variables costs one row instead of
 //! `2^(k-1)` CNF clauses.
+//!
+//! Propagation reports only `(implied literal, row)` pairs and the row it
+//! falsified; no clause is built.  The solver rebuilds a row's clause with
+//! [`XorEngine::explain`] when conflict analysis reads it, the way
+//! CryptoMiniSat builds its XOR reasons lazily (Soos, Gocht and Meel,
+//! CAV 2020).  That is sound because a row's other variables keep their
+//! values for as long as the literal it implied stays on the trail.
 
 use crate::lit::{LBool, Lit, Var};
 
@@ -14,30 +21,13 @@ use crate::lit::{LBool, Lit, Var};
 pub enum AddXor {
     /// The row was stored under the given engine id (pass it to
     /// [`XorEngine::deactivate`] to retire the row later).
-    Stored(usize),
+    Stored(u32),
     /// The row was trivially satisfied; nothing was stored.
     Trivial,
     /// The row reduced to a unit literal that must be enqueued by the caller.
     Unit(Lit),
     /// The row reduced to `false`; the formula is unsatisfiable.
     Unsat,
-}
-
-/// A propagation or conflict discovered by the XOR engine.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum XorEvent {
-    /// `lit` is implied; the attached clause is an entailed reason clause
-    /// (the implied literal first, followed by the negations of the assigned
-    /// literals of the row).
-    Implied {
-        /// The implied literal.
-        lit: Lit,
-        /// Entailed reason clause, suitable for conflict analysis.
-        reason: Vec<Lit>,
-    },
-    /// The row is falsified; the attached clause is an entailed conflict
-    /// clause (every literal in it is currently false).
-    Conflict(Vec<Lit>),
 }
 
 #[derive(Debug, Clone)]
@@ -57,11 +47,11 @@ struct XorRow {
 pub struct XorEngine {
     rows: Vec<XorRow>,
     /// For each variable index, the rows currently watching it.
-    occurs: Vec<Vec<usize>>,
+    occurs: Vec<Vec<u32>>,
     /// Slots of deactivated rows, reused by the next [`XorEngine::add_row`]
     /// so long-lived solvers that churn hash frames don't grow `rows`
     /// without bound.
-    free: Vec<usize>,
+    free: Vec<u32>,
 }
 
 impl XorEngine {
@@ -135,12 +125,12 @@ impl XorEngine {
                 // doesn't grow the row table without bound.
                 let row_idx = match self.free.pop() {
                     Some(slot) => {
-                        self.rows[slot] = row;
+                        self.rows[slot as usize] = row;
                         slot
                     }
                     None => {
                         self.rows.push(row);
-                        self.rows.len() - 1
+                        u32::try_from(self.rows.len() - 1).expect("XOR row ids fit in u32")
                     }
                 };
                 self.occurs[w0.index()].push(row_idx);
@@ -154,10 +144,10 @@ impl XorEngine {
     /// occurrence-list entries are purged eagerly, and its slot is queued
     /// for reuse by the next [`XorEngine::add_row`].  Must be called at
     /// decision level zero (`Solver::deactivate_xor` unwinds the kept trail
-    /// first) — assignments already on the trail are unaffected.  Deactivating an already-inactive row or an
-    /// unknown id is a no-op.
-    pub fn deactivate(&mut self, row: usize) {
-        let Some(r) = self.rows.get_mut(row) else {
+    /// first) — assignments already on the trail are unaffected.
+    /// Deactivating an already-inactive row or an unknown id is a no-op.
+    pub fn deactivate(&mut self, row: u32) {
+        let Some(r) = self.rows.get_mut(row as usize) else {
             return;
         };
         if !r.active {
@@ -179,22 +169,25 @@ impl XorEngine {
 
     /// Notifies the engine that `var` has just been assigned.
     ///
-    /// Returns the implied literals and/or conflict discovered in the rows
-    /// watching `var`.  Processing stops at the first conflict.
-    pub fn on_assign(&mut self, var: Var, assigns: &[LBool]) -> Vec<XorEvent> {
-        let mut events = Vec::new();
-        if var.index() >= self.occurs.len() {
-            return events;
-        }
-        let watching = std::mem::take(&mut self.occurs[var.index()]);
-        let mut keep = Vec::with_capacity(watching.len());
-        let mut aborted = Vec::new();
-        for (pos, &row_idx) in watching.iter().enumerate() {
-            if matches!(events.last(), Some(XorEvent::Conflict(_))) {
-                aborted.extend_from_slice(&watching[pos..]);
-                break;
-            }
-            let row = &mut self.rows[row_idx];
+    /// Appends an `(implied literal, row)` pair to `implied` for every row
+    /// watching `var` that became unit, in occurrence-list order, and
+    /// returns the row the assignment falsified, if any; processing stops
+    /// at that row.  [`XorEngine::explain`] rebuilds the clause behind
+    /// either.  The occurrence list of `var` is compacted in place.
+    pub fn on_assign(
+        &mut self,
+        var: Var,
+        assigns: &[LBool],
+        implied: &mut Vec<(Lit, u32)>,
+    ) -> Option<u32> {
+        let mut watching = std::mem::take(self.occurs.get_mut(var.index())?);
+        let mut kept = 0;
+        let mut next = 0;
+        let mut falsified = None;
+        while next < watching.len() {
+            let row_idx = watching[next];
+            next += 1;
+            let row = &mut self.rows[row_idx as usize];
             if !row.active {
                 // Lazily drop retired rows from the occurrence lists.
                 continue;
@@ -208,13 +201,10 @@ impl XorEngine {
                     continue;
                 }
                 if !assigns[v.index()].is_assigned() {
+                    // Register the new watch; the old one for this row is
+                    // dropped by not keeping it below.
                     row.watch[which] = i;
-                    // Register the new watch; drop the old one for this row.
-                    let v_idx = v.index();
-                    if self.occurs.len() <= v_idx {
-                        self.occurs.resize(v_idx + 1, Vec::new());
-                    }
-                    self.occurs[v_idx].push(row_idx);
+                    self.occurs[v.index()].push(row_idx);
                     replaced = true;
                     break;
                 }
@@ -222,8 +212,8 @@ impl XorEngine {
             if replaced {
                 continue;
             }
-            keep.push(row_idx);
-            let row = &self.rows[row_idx];
+            watching[kept] = row_idx;
+            kept += 1;
             let other = row.vars[other_watch_pos];
             let other_value = assigns[other.index()];
             // Parity of the assigned variables, excluding `other`.  If any
@@ -245,32 +235,38 @@ impl XorEngine {
                 continue;
             }
             if other_value == LBool::Undef {
-                let needed = row.rhs ^ parity;
-                let lit = other.lit(needed);
-                let mut reason = vec![lit];
-                for &v in &row.vars {
-                    if v == other {
-                        continue;
-                    }
-                    let assigned_true = assigns[v.index()] == LBool::True;
-                    reason.push(!v.lit(assigned_true));
-                }
-                events.push(XorEvent::Implied { lit, reason });
-            } else {
-                let total = parity ^ (other_value == LBool::True);
-                if total != row.rhs {
-                    let mut conflict = Vec::with_capacity(row.vars.len());
-                    for &v in &row.vars {
-                        let assigned_true = assigns[v.index()] == LBool::True;
-                        conflict.push(!v.lit(assigned_true));
-                    }
-                    events.push(XorEvent::Conflict(conflict));
-                }
+                implied.push((other.lit(row.rhs ^ parity), row_idx));
+            } else if parity ^ (other_value == LBool::True) != row.rhs {
+                falsified = Some(row_idx);
+                break;
             }
         }
-        keep.extend(aborted);
-        self.occurs[var.index()] = keep;
-        events
+        // Rows after a falsified one were not visited: they keep watching.
+        let unvisited = watching.len() - next;
+        watching.copy_within(next.., kept);
+        watching.truncate(kept + unvisited);
+        self.occurs[var.index()] = watching;
+        falsified
+    }
+
+    /// Writes the clause of `row` under the current assignment into `out`.
+    ///
+    /// With `implied`, the clause is that literal followed by the negated
+    /// values of the row's other variables in row order: the reason of an
+    /// implication, or the conflict when the implied literal was already
+    /// false.  Without it, the clause is the negated values of all the
+    /// row's variables in row order: the conflict of a falsified row.
+    /// Either clause is entailed by the row.  `row` must not have been
+    /// deactivated since it reported the implication or conflict.
+    pub fn explain(&self, row: u32, implied: Option<Lit>, assigns: &[LBool], out: &mut Vec<Lit>) {
+        out.clear();
+        out.extend(implied);
+        let skip = implied.map(Lit::var);
+        for &v in &self.rows[row as usize].vars {
+            if Some(v) != skip {
+                out.push(!v.lit(assigns[v.index()] == LBool::True));
+            }
+        }
     }
 }
 
@@ -280,6 +276,18 @@ mod tests {
 
     fn assigns(n: usize) -> Vec<LBool> {
         vec![LBool::Undef; n]
+    }
+
+    /// Runs `on_assign` for `var`; returns the implications and the
+    /// falsified row.
+    fn notify(eng: &mut XorEngine, var: Var, a: &[LBool]) -> (Vec<(Lit, u32)>, Option<u32>) {
+        let mut implied = Vec::new();
+        let falsified = eng.on_assign(var, a, &mut implied);
+        (implied, falsified)
+    }
+
+    fn silent(eng: &mut XorEngine, var: Var, a: &[LBool]) -> bool {
+        notify(eng, var, a) == (Vec::new(), None)
     }
 
     #[test]
@@ -323,19 +331,20 @@ mod tests {
             AddXor::Stored(0)
         );
         a[0] = LBool::True;
-        assert!(eng.on_assign(Var(0), &a).is_empty());
+        assert!(silent(&mut eng, Var(0), &a));
         a[1] = LBool::True;
-        let events = eng.on_assign(Var(1), &a);
-        assert_eq!(events.len(), 1);
-        match &events[0] {
-            XorEvent::Implied { lit, reason } => {
-                // 1 ^ 1 ^ x2 = 1  =>  x2 = 1
-                assert_eq!(*lit, Var(2).positive());
-                assert_eq!(reason[0], *lit);
-                assert_eq!(reason.len(), 3);
-            }
-            other => panic!("expected implication, got {other:?}"),
-        }
+        // 1 ^ 1 ^ x2 = 1  =>  x2 = 1
+        let (implied, falsified) = notify(&mut eng, Var(1), &a);
+        assert_eq!(implied, vec![(Var(2).positive(), 0)]);
+        assert_eq!(falsified, None);
+        // The reason: the implied literal, then the other variables'
+        // negated values in row order.
+        let mut reason = Vec::new();
+        eng.explain(0, Some(Var(2).positive()), &a, &mut reason);
+        assert_eq!(
+            reason,
+            vec![Var(2).positive(), Var(0).negative(), Var(1).negative()]
+        );
     }
 
     #[test]
@@ -346,16 +355,31 @@ mod tests {
         a[0] = LBool::True;
         // Assign the second watch directly to the conflicting value.
         a[1] = LBool::True;
-        let events = eng.on_assign(Var(1), &a);
-        assert_eq!(events.len(), 1);
-        match &events[0] {
-            XorEvent::Conflict(clause) => {
-                assert_eq!(clause.len(), 2);
-                assert!(clause.contains(&Var(0).negative()));
-                assert!(clause.contains(&Var(1).negative()));
-            }
-            other => panic!("expected conflict, got {other:?}"),
-        }
+        assert_eq!(notify(&mut eng, Var(1), &a), (Vec::new(), Some(0)));
+        let mut conflict = Vec::new();
+        eng.explain(0, None, &a, &mut conflict);
+        assert_eq!(conflict, vec![Var(0).negative(), Var(1).negative()]);
+    }
+
+    #[test]
+    fn rows_after_a_falsified_row_keep_their_watch() {
+        let mut eng = XorEngine::new();
+        let mut a = assigns(3);
+        assert_eq!(eng.add_row(&[Var(0), Var(1)], true, &a), AddXor::Stored(0));
+        assert_eq!(eng.add_row(&[Var(0), Var(2)], true, &a), AddXor::Stored(1));
+        a[1] = LBool::True;
+        a[0] = LBool::True;
+        // Row 0 is falsified first; row 1 is not visited.
+        assert_eq!(notify(&mut eng, Var(0), &a), (Vec::new(), Some(0)));
+        // Both still watch x0: a second notification reaches row 1 too.
+        let (implied, falsified) = notify(&mut eng, Var(0), &a);
+        assert_eq!(falsified, Some(0));
+        assert!(implied.is_empty());
+        a[1] = LBool::False;
+        assert_eq!(
+            notify(&mut eng, Var(0), &a),
+            (vec![(Var(2).negative(), 1)], None)
+        );
     }
 
     #[test]
@@ -369,11 +393,11 @@ mod tests {
         eng.deactivate(row);
         // A sequence that would imply (then falsify) the row is ignored.
         a[0] = LBool::True;
-        assert!(eng.on_assign(Var(0), &a).is_empty());
+        assert!(silent(&mut eng, Var(0), &a));
         a[1] = LBool::True;
-        assert!(eng.on_assign(Var(1), &a).is_empty());
+        assert!(silent(&mut eng, Var(1), &a));
         a[2] = LBool::False; // 1 ^ 1 ^ 0 = 0 ≠ 1 would be a conflict
-        assert!(eng.on_assign(Var(2), &a).is_empty());
+        assert!(silent(&mut eng, Var(2), &a));
         // Deactivation is idempotent and tolerates unknown ids.
         eng.deactivate(row);
         eng.deactivate(99);
@@ -401,22 +425,20 @@ mod tests {
         // ...and the old row's variables no longer reach it: assigning all
         // of x0..x2 to what would have falsified the retired row is silent.
         a[0] = LBool::True;
-        assert!(eng.on_assign(Var(0), &a).is_empty());
+        assert!(silent(&mut eng, Var(0), &a));
         a[1] = LBool::True;
-        assert!(eng.on_assign(Var(1), &a).is_empty());
+        assert!(silent(&mut eng, Var(1), &a));
         a[2] = LBool::False;
-        assert!(eng.on_assign(Var(2), &a).is_empty());
+        assert!(silent(&mut eng, Var(2), &a));
         // The recycled slot still propagates for its new variables.
         a[3] = LBool::True;
-        assert!(eng.on_assign(Var(3), &a).is_empty());
+        assert!(silent(&mut eng, Var(3), &a));
         a[4] = LBool::False;
-        let events = eng.on_assign(Var(4), &a);
-        assert_eq!(events.len(), 1);
-        match &events[0] {
-            // x3 ^ x4 ^ x5 = 0 with x3 = 1, x4 = 0  =>  x5 = 1
-            XorEvent::Implied { lit, .. } => assert_eq!(*lit, Var(5).positive()),
-            other => panic!("expected implication, got {other:?}"),
-        }
+        // x3 ^ x4 ^ x5 = 0 with x3 = 1, x4 = 0  =>  x5 = 1
+        assert_eq!(
+            notify(&mut eng, Var(4), &a),
+            (vec![(Var(5).positive(), reused)], None)
+        );
     }
 
     #[test]
@@ -428,15 +450,13 @@ mod tests {
             AddXor::Stored(0)
         );
         a[0] = LBool::True;
-        assert!(eng.on_assign(Var(0), &a).is_empty());
+        assert!(silent(&mut eng, Var(0), &a));
         a[1] = LBool::False;
-        assert!(eng.on_assign(Var(1), &a).is_empty());
+        assert!(silent(&mut eng, Var(1), &a));
         a[2] = LBool::False;
-        let events = eng.on_assign(Var(2), &a);
-        assert_eq!(events.len(), 1);
-        match &events[0] {
-            XorEvent::Implied { lit, .. } => assert_eq!(*lit, Var(3).positive()),
-            other => panic!("expected implication, got {other:?}"),
-        }
+        assert_eq!(
+            notify(&mut eng, Var(2), &a),
+            (vec![(Var(3).positive(), 0)], None)
+        );
     }
 }

@@ -47,6 +47,8 @@ pub struct Encoder {
     num_lra_vars: u32,
     /// The DPLL(T) loop's last theory-consistent assignment.
     pub(crate) theory_memo: TheoryMemo,
+    /// Reused buffer of [`Encoder::assert_blocking_clause`].
+    blocking: Vec<Lit>,
 }
 
 impl Encoder {
@@ -558,10 +560,9 @@ impl Encoder {
         pairs: &[(TermId, BvValue)],
         guard: Option<Lit>,
     ) -> Result<()> {
-        let mut clause: Vec<Lit> = Vec::new();
-        if let Some(g) = guard {
-            clause.push(!g);
-        }
+        let mut clause = std::mem::take(&mut self.blocking);
+        clause.clear();
+        clause.extend(guard.map(|g| !g));
         for &(var, value) in pairs {
             self.ensure_var_bits(tm, var)?;
             let bits = self.var_lits(tm, var).expect("bits just ensured");
@@ -570,6 +571,7 @@ impl Encoder {
             }
         }
         self.sat.add_clause(&clause);
+        self.blocking = clause;
         Ok(())
     }
 

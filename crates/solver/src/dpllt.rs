@@ -16,7 +16,7 @@ use pact_ir::Rational;
 use pact_lra::{Constraint, LraResult, Simplex};
 use pact_sat::{Lit, SatResult};
 
-use crate::bitblast::{atom_value_in_model, Encoder};
+use crate::bitblast::{atom_value_in_model, Encoder, TheoryAtom};
 use crate::context::{OracleStats, SolverResult};
 
 /// The last theory-consistent assignment seen by [`solve_with_theory`].
@@ -33,6 +33,9 @@ pub(crate) struct TheoryMemo {
     num_lra_vars: usize,
     participating: Vec<Lit>,
     witness: Vec<Rational>,
+    /// Reused buffer for the participating literals of the model at hand;
+    /// it swaps with `participating` when a new assignment is stored.
+    scratch: Vec<Lit>,
 }
 
 impl TheoryMemo {
@@ -40,6 +43,14 @@ impl TheoryMemo {
     fn lookup(&self, num_lra_vars: usize, participating: &[Lit]) -> Option<&Vec<Rational>> {
         (self.num_lra_vars == num_lra_vars && self.participating == participating)
             .then_some(&self.witness)
+    }
+}
+
+/// The literal and constraint a boolean model commits `atom` to, if any.
+fn committed<'a>(atom: &'a TheoryAtom, model: &[bool]) -> Option<(Lit, &'a Constraint)> {
+    match atom_value_in_model(model, atom.lit)? {
+        true => Some((atom.lit, &atom.when_true)),
+        false => atom.when_false.as_ref().map(|neg| (!atom.lit, neg)),
     }
 }
 
@@ -82,60 +93,74 @@ pub(crate) fn solve_with_theory(
             SatResult::Unknown => return SolverResult::Unknown,
             SatResult::Sat => {}
         }
-        // Collect the theory constraints implied by the boolean model.
+        // Collect the theory atoms the boolean model commits to.
+        let mut participating = std::mem::take(&mut encoder.theory_memo.scratch);
+        participating.clear();
         let model = encoder.sat_model();
-        let mut participating: Vec<Lit> = Vec::new();
-        let mut constraints: Vec<&Constraint> = Vec::new();
-        for atom in encoder.atoms() {
-            match atom_value_in_model(model, atom.lit) {
-                Some(true) => {
-                    constraints.push(&atom.when_true);
-                    participating.push(atom.lit);
-                }
-                Some(false) => {
-                    if let Some(neg) = &atom.when_false {
-                        constraints.push(neg);
-                        participating.push(!atom.lit);
-                    }
-                }
-                None => {}
-            }
-        }
-        if participating.is_empty() {
-            real_model_values.clear();
-            return SolverResult::Sat;
-        }
-        let num_lra_vars = encoder.num_lra_vars();
-        if let Some(witness) = encoder.theory_memo.lookup(num_lra_vars, &participating) {
-            real_model_values.clone_from(witness);
-            return SolverResult::Sat;
-        }
-        let mut simplex = Simplex::new(num_lra_vars);
-        for constraint in constraints {
-            simplex.add_constraint(constraint.clone());
-        }
-        stats.theory_checks += 1;
-        match simplex.check() {
-            LraResult::Sat => {
-                *real_model_values = simplex.model();
-                encoder.theory_memo = TheoryMemo {
-                    num_lra_vars,
-                    participating,
-                    witness: real_model_values.clone(),
-                };
-                return SolverResult::Sat;
-            }
-            LraResult::Unsat => {
-                // Refinement lemma: at least one participating atom flips.
-                // The lemma is theory-valid, so it is added permanently even
-                // under assumptions.
-                stats.theory_lemmas += 1;
-                let lemma: Vec<Lit> = participating.iter().map(|&l| !l).collect();
-                if !encoder.sat().add_clause(&lemma) {
-                    return SolverResult::Unsat;
-                }
-            }
+        participating.extend(
+            encoder
+                .atoms()
+                .iter()
+                .filter_map(|atom| committed(atom, model))
+                .map(|(lit, _)| lit),
+        );
+        let verdict = check_theory(encoder, &mut participating, stats, real_model_values);
+        encoder.theory_memo.scratch = participating;
+        if let Some(verdict) = verdict {
+            return verdict;
         }
     }
     SolverResult::Unknown
+}
+
+/// Checks the theory atoms `participating` lists against the simplex core.
+/// Answers `Sat` (leaving the witness in `real_model_values`) or `Unsat`
+/// when the formula is refuted; `None` after adding a refinement lemma, so
+/// the loop solves again.  `participating` may come back holding other
+/// literals: it is a reused buffer.
+fn check_theory(
+    encoder: &mut Encoder,
+    participating: &mut Vec<Lit>,
+    stats: &mut OracleStats,
+    real_model_values: &mut Vec<Rational>,
+) -> Option<SolverResult> {
+    if participating.is_empty() {
+        real_model_values.clear();
+        return Some(SolverResult::Sat);
+    }
+    let num_lra_vars = encoder.num_lra_vars();
+    if let Some(witness) = encoder.theory_memo.lookup(num_lra_vars, participating) {
+        real_model_values.clone_from(witness);
+        return Some(SolverResult::Sat);
+    }
+    let mut simplex = Simplex::new(num_lra_vars);
+    let model = encoder.sat_model();
+    for (_, constraint) in encoder
+        .atoms()
+        .iter()
+        .filter_map(|atom| committed(atom, model))
+    {
+        simplex.add_constraint(constraint.clone());
+    }
+    stats.theory_checks += 1;
+    match simplex.check() {
+        LraResult::Sat => {
+            *real_model_values = simplex.model();
+            let memo = &mut encoder.theory_memo;
+            memo.num_lra_vars = num_lra_vars;
+            std::mem::swap(&mut memo.participating, participating);
+            memo.witness.clone_from(real_model_values);
+            Some(SolverResult::Sat)
+        }
+        LraResult::Unsat => {
+            // Refinement lemma: at least one participating atom flips.
+            // The lemma is theory-valid, so it is added permanently even
+            // under assumptions.
+            stats.theory_lemmas += 1;
+            for lit in participating.iter_mut() {
+                *lit = !*lit;
+            }
+            (!encoder.sat().add_clause(participating)).then_some(SolverResult::Unsat)
+        }
+    }
 }

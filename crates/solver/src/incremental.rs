@@ -141,6 +141,9 @@ pub struct IncrementalContext {
     rebuild: bool,
     /// Simplex witness (indexed by LRA variable) from the last SAT check.
     real_model_values: Vec<Rational>,
+    /// Reused buffer: the live frames' activation literals, which every
+    /// `check` solves under.
+    assumptions: Vec<Lit>,
     /// Term-id-keyed preprocessing memo; never invalidated (term ids are
     /// immutable for the manager lineage), so compaction journal replays
     /// re-encode from it instead of re-running preprocessing.
@@ -165,6 +168,7 @@ impl Default for IncrementalContext {
             retired_conflicts: 0,
             rebuild: false,
             real_model_values: Vec::new(),
+            assumptions: Vec::new(),
             preprocess_cache: PreprocessCache::default(),
         }
     }
@@ -408,10 +412,12 @@ impl IncrementalContext {
         self.stats.checks += 1;
         self.maybe_compact();
         self.encode_view(&mut view)?;
-        let assumptions: Vec<Lit> = self.frames.iter().map(|f| f.activation).collect();
+        self.assumptions.clear();
+        self.assumptions
+            .extend(self.frames.iter().map(|f| f.activation));
         Ok(solve_with_theory(
             &mut self.encoder,
-            &assumptions,
+            &self.assumptions,
             self.config.max_conflicts,
             self.config.max_theory_iterations,
             &mut self.stats,
