@@ -196,6 +196,13 @@ pub struct Solver {
     /// leaves its full assignment on the trail; the next `solve` with the
     /// same assumptions resumes from it instead of re-deciding from the root.
     trail_assumptions: Vec<Lit>,
+    /// A blocking clause `add_clause` found falsified with two or more
+    /// literals at the top decision level: attached, and taken by the next
+    /// `solve` as its first conflict instead of re-deriving that level.
+    /// While it is set its level is the top decision level, so any
+    /// `cancel_until` below that level clears it (both watches are then
+    /// unassigned) and at most one conflict is ever pending.
+    pending_conflict: Option<ClauseRef>,
     /// Reused buffers: the clause `add_clause` simplifies, the clause
     /// `analyze` learns, the XOR clause it reads, and the implications one
     /// XOR propagation step reports.
@@ -232,6 +239,7 @@ impl Default for Solver {
             interrupts: Vec::new(),
             occurrences: Vec::new(),
             trail_assumptions: Vec::new(),
+            pending_conflict: None,
             added: Vec::new(),
             learnt: Vec::new(),
             xor_clause: Vec::new(),
@@ -333,10 +341,15 @@ impl Solver {
     /// level-zero values only, and the trail is unwound only as far as the
     /// watch invariant needs: a clause that is unit at the root goes back to
     /// level zero; one falsified by the trail backtracks to its
-    /// second-highest level and asserts its highest literal there, or
-    /// unassigns both when two literals share the top level; one that is
-    /// unit under the trail has its implied literal enqueued at the level
+    /// second-highest level and asserts its highest literal there; one that
+    /// is unit under the trail has its implied literal enqueued at the level
     /// of its highest false literal.
+    ///
+    /// A clause falsified with two literals at its top level keeps that
+    /// level: only the levels above it are unwound, and the clause becomes
+    /// the pending conflict the next [`Solver::solve`] analyses first.  A
+    /// further clause added while one is pending first unwinds the pending
+    /// clause's level, so at most one conflict is ever pending.
     pub fn add_clause(&mut self, lits: &[Lit]) -> bool {
         if !self.ok {
             return false;
@@ -408,6 +421,10 @@ impl Solver {
     /// ordered non-false first, then false by descending level, and the
     /// trail is cut back when the first two do not already satisfy that.
     fn attach_above_root(&mut self, clause: &mut [Lit]) {
+        if self.pending_conflict.is_some() {
+            // Unassigns both watches of the pending clause.
+            self.cancel_until(self.decision_level() - 1);
+        }
         if self.decision_level() > 0 {
             let rank = |s: &Self, l: Lit| match s.value(l) {
                 LBool::False => s.level[l.var().index()],
@@ -422,10 +439,11 @@ impl Solver {
         let first = self.level[clause[0].var().index()];
         let second = self.level[clause[1].var().index()];
         match self.value(clause[0]) {
-            // Both watches false at the same level: unassign them both.
+            // Both watches false at the same level: the clause is a
+            // conflict at that level, analysed by the next `solve`.
             LBool::False if first == second => {
-                self.cancel_until(first - 1);
-                self.attach_clause(clause);
+                self.cancel_until(first);
+                self.pending_conflict = Some(self.attach_clause(clause));
             }
             // A true first literal assigned no later than the highest false
             // one keeps the clause satisfied on every backtrack.
@@ -634,6 +652,8 @@ impl Solver {
         if self.decision_level() <= target_level {
             return;
         }
+        // The pending conflict sits on the top level, which this leaves.
+        self.pending_conflict = None;
         let bound = self.trail_lim[target_level as usize];
         while self.trail.len() > bound {
             let lit = self.trail.pop().expect("trail not empty");
@@ -858,7 +878,9 @@ impl Solver {
     /// trail was built under, so an enumeration loop (`solve`, block the
     /// model with [`Solver::add_clause`], `solve` again) pays only for what
     /// the new clause changed; any other assumption list starts from the
-    /// root.
+    /// root.  A blocking clause the kept trail falsifies at its top level is
+    /// the call's first conflict (see [`Solver::add_clause`]); it counts
+    /// towards the conflict budget, interrupts and restarts like any other.
     ///
     /// # Panics
     ///
@@ -884,12 +906,16 @@ impl Solver {
             self.trail_assumptions.clear();
             self.trail_assumptions.extend_from_slice(assumptions);
         }
+        let mut pending = self.pending_conflict.take().map(|cref| {
+            debug_assert!(self.falsified_at_top_level(cref));
+            Conflict::Clause(cref)
+        });
         let budget_start = self.stats.conflicts;
         let mut restart_count: u64 = 0;
         let mut conflicts_since_restart: u64 = 0;
 
         loop {
-            let conflict = self.propagate();
+            let conflict = pending.take().or_else(|| self.propagate());
             if let Some(conflict) = conflict {
                 self.stats.conflicts += 1;
                 conflicts_since_restart += 1;
@@ -956,6 +982,18 @@ impl Solver {
                 }
             }
         }
+    }
+
+    /// Whether every literal of the clause at `cref` is false and at least
+    /// two of them sit on the top decision level.
+    fn falsified_at_top_level(&self, cref: ClauseRef) -> bool {
+        let start = cref as usize + 1;
+        let lits = &self.arena[start..start + self.arena[cref as usize].code()];
+        let top = lits
+            .iter()
+            .filter(|l| self.level[l.var().index()] == self.decision_level())
+            .count();
+        lits.iter().all(|&l| self.value(l) == LBool::False) && top >= 2
     }
 
     fn conflict_exhausted(&self, budget_start: u64) -> bool {
@@ -1438,7 +1476,7 @@ mod tests {
     }
 
     #[test]
-    fn falsified_clause_with_two_literals_at_the_top_level_unassigns_both() {
+    fn falsified_clause_with_two_literals_at_the_top_level_is_the_next_conflict() {
         let mut s = Solver::new();
         let v = vars(&mut s, 3);
         assert!(s.add_clause(&[v[1].negative(), v[2].positive()]));
@@ -1446,11 +1484,20 @@ mod tests {
         decide(&mut s, v[1].positive()); // implies v2 at level 2
         assert_eq!(level_of(&s, v[2]), 2);
         assert!(s.add_clause(&[v[0].negative(), v[1].negative(), v[2].negative()]));
-        assert_eq!(s.decision_level(), 1);
-        assert_eq!(s.value(v[1].positive()), LBool::Undef);
-        assert_eq!(s.value(v[2].positive()), LBool::Undef);
-        // Resuming from level 1 respects the new clause.
+        // The clause's level stays on the trail.
+        assert_eq!(s.decision_level(), 2);
+        assert_eq!(s.value(v[2].positive()), LBool::True);
+        // The next solve takes the clause as one conflict before any new
+        // decision: with no conflict to spare it stops right after it.
+        let before = s.stats();
+        let mut probe = s.clone();
+        probe.set_conflict_budget(Some(0));
+        assert_eq!(probe.solve(&[]), SatResult::Unknown);
+        assert_eq!(probe.stats().conflicts, before.conflicts + 1);
+        assert_eq!(probe.stats().decisions, before.decisions);
+        // Resuming from that conflict respects the new clause.
         assert_eq!(s.solve(&[]), SatResult::Sat);
+        assert_eq!(s.stats().conflicts, before.conflicts + 1);
         assert!(s.model_value(v[0]));
         assert!(!s.model_value(v[1]));
     }
@@ -1544,17 +1591,33 @@ mod tests {
         assert!(s.add_clause(&[v[1].positive(), v[2].positive()]));
         assert_eq!(s.num_clauses(), 1);
         // An XOR-heavy enumeration: every blocked model and every learnt
-        // clause is one attached clause, and no XOR implication is.
+        // clause is one attached clause, and no XOR implication is.  A
+        // blocking clause that level-zero values falsify outright is the
+        // empty clause: `add_clause` refutes the formula instead, which can
+        // only happen to the last model.
         let mut models = 0;
+        let mut refuted = 0;
+        let mut xor_implied = 0;
         while s.solve(&[]) == SatResult::Sat {
             models += 1;
+            xor_implied += s
+                .trail
+                .iter()
+                .filter(|l| matches!(s.reason[l.var().index()], Some(Reason::Xor(_))))
+                .count();
             let blocking: Vec<Lit> = v.iter().map(|&x| x.lit(!s.model_value(x))).collect();
-            s.add_clause(&blocking);
+            if !s.add_clause(&blocking) {
+                refuted += 1;
+            }
         }
         let stats = s.stats();
         assert_eq!(models, 48);
-        assert!(stats.propagations > 3 * s.num_clauses() as u64, "{stats:?}");
-        assert_eq!(s.num_clauses() as u64, 1 + models as u64 + stats.learnts);
+        assert!(refuted <= 1);
+        assert!(xor_implied >= 2 * models, "{xor_implied} XOR implications");
+        assert_eq!(
+            s.num_clauses() as u64,
+            1 + (models - refuted) as u64 + stats.learnts
+        );
     }
 
     /// The clause the eager engine stored for a row when it reported an

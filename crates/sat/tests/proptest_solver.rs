@@ -128,12 +128,15 @@ proptest! {
 }
 
 /// A change made between two enumeration steps (see
-/// `enumeration_with_interleaved_changes_matches_brute_force`).
+/// `enumeration_with_interleaved_changes_matches_brute_force`).  Each one
+/// follows the blocking clause of the model just found, so it usually
+/// meets a blocking clause still pending as the next solve's conflict.
 #[derive(Debug, Clone)]
 struct Event {
     /// 0 lemma falsified by the last model, 1 unit, 2 arbitrary clause,
     /// 3 permanent XOR row, 4 guarded XOR row, 5 retire the newest guarded
-    /// row, 6 replace the assumptions.
+    /// row, 6 replace the assumptions, 7 two lemmas falsified by the last
+    /// model, 8 a solve with a conflict budget of 0.
     kind: u8,
     lits: Vec<(usize, bool)>,
     flag: bool,
@@ -142,7 +145,7 @@ struct Event {
 fn event_strategy() -> impl Strategy<Value = Vec<Event>> {
     let lits = proptest::collection::vec((0..NUM_VARS, any::<bool>()), 1..4);
     let event =
-        (0u8..7, lits, any::<bool>()).prop_map(|(kind, lits, flag)| Event { kind, lits, flag });
+        (0u8..9, lits, any::<bool>()).prop_map(|(kind, lits, flag)| Event { kind, lits, flag });
     proptest::collection::vec(event, 0..8)
 }
 
@@ -162,6 +165,7 @@ struct Guarded {
 struct Reference {
     instance: RandomInstance,
     retired: Vec<usize>,
+    projection: u32,
     blocked: Vec<u32>,
     assumed: Vec<(usize, bool)>,
 }
@@ -185,6 +189,56 @@ impl Reference {
                 .iter()
                 .all(|&(v, pos)| ((mask >> v) & 1 == 1) == pos)
     }
+
+    /// Checks the solver's model against the formula of its moment and
+    /// against the projections blocked so far, blocks its projection in
+    /// the solver and returns the model as a mask.
+    fn block(&mut self, solver: &mut Solver, vars: &[Var]) -> u32 {
+        let mut mask = 0u32;
+        for (i, v) in vars.iter().enumerate() {
+            if solver.model_value(*v) {
+                mask |= 1 << i;
+            }
+        }
+        assert!(self.holds(mask), "model {mask:#b} violates the formula");
+        let projected = mask & self.projection;
+        assert!(
+            !self.blocked.contains(&projected),
+            "projection {projected:#b} returned twice"
+        );
+        self.blocked.push(projected);
+        assert!(
+            self.blocked.len() <= 1 << NUM_VARS,
+            "enumeration does not terminate"
+        );
+        let blocking: Vec<_> = (0..NUM_VARS)
+            .filter(|&v| (self.projection >> v) & 1 == 1)
+            .map(|v| vars[v].lit((mask >> v) & 1 == 0))
+            .collect();
+        solver.add_clause(&blocking);
+        mask
+    }
+
+    /// After an `Unsat` answer: every projection the current formula
+    /// allows under the current assumptions has been enumerated.
+    fn assert_exhausted(&self) {
+        for mask in 0..(1u32 << NUM_VARS) {
+            if self.holds(mask) {
+                let projected = mask & self.projection;
+                assert!(
+                    self.blocked.contains(&projected),
+                    "projection {projected:#b} never enumerated"
+                );
+            }
+        }
+    }
+}
+
+/// Keeps at most the two lowest set bits of a projection mask.
+fn narrowed(mask: u32) -> u32 {
+    let low = mask & mask.wrapping_neg();
+    let rest = mask & !low;
+    low | (rest & rest.wrapping_neg())
 }
 
 proptest! {
@@ -192,47 +246,38 @@ proptest! {
 
     /// Enumerates projected models by blocking clauses while the kept trail
     /// of each model is reused, interleaving lemma clauses, units, XOR rows,
-    /// row retirement and assumption changes.  Every model must satisfy the
-    /// formula of its moment, and when the solver runs dry every projection
-    /// the final formula allows must have been enumerated.
+    /// row retirement, assumption changes and solves with no conflict to
+    /// spare.  A narrowed projection blocks over at most two variables, so
+    /// its blocking clause is often falsified below the model's top level.
+    /// Every model must satisfy the formula of its moment, no projection
+    /// may come back once blocked, and every `Unsat` answer must come only
+    /// once every projection the formula allows was enumerated.
     #[test]
     fn enumeration_with_interleaved_changes_matches_brute_force(
         instance in instance_strategy(),
         projection_mask in 1u32..(1 << NUM_VARS),
+        narrow in any::<bool>(),
         assumed in proptest::collection::vec((0..NUM_VARS, any::<bool>()), 0..3),
         events in event_strategy(),
     ) {
         let (mut solver, vars) = build_solver(&instance);
-        let mut reference = Reference { instance, retired: Vec::new(), blocked: Vec::new(), assumed };
+        let projection = if narrow { narrowed(projection_mask) } else { projection_mask };
+        let mut reference =
+            Reference { instance, retired: Vec::new(), projection, blocked: Vec::new(), assumed };
         let mut guarded: Vec<Guarded> = Vec::new();
         let mut events = events.into_iter();
         let mut last_model = 0u32;
         loop {
-            let mut assumptions: Vec<_> =
-                reference.assumed.iter().map(|&(v, pos)| vars[v].lit(pos)).collect();
-            assumptions.extend(guarded.iter().map(|g| g.act.positive()));
-            let verdict = solver.solve(&assumptions);
+            let assumptions = |reference: &Reference, guarded: &[Guarded]| {
+                let mut lits: Vec<_> =
+                    reference.assumed.iter().map(|&(v, pos)| vars[v].lit(pos)).collect();
+                lits.extend(guarded.iter().map(|g| g.act.positive()));
+                lits
+            };
+            let verdict = solver.solve(&assumptions(&reference, &guarded));
             match verdict {
-                SatResult::Sat => {
-                    let mut mask = 0u32;
-                    for (i, v) in vars.iter().enumerate() {
-                        if solver.model_value(*v) {
-                            mask |= 1 << i;
-                        }
-                    }
-                    prop_assert!(reference.holds(mask), "model {mask:#b} violates the formula");
-                    let projected = mask & projection_mask;
-                    prop_assert!(!reference.blocked.contains(&projected), "blocked model returned");
-                    reference.blocked.push(projected);
-                    prop_assert!(reference.blocked.len() <= 1 << NUM_VARS, "enumeration does not terminate");
-                    let blocking: Vec<_> = (0..NUM_VARS)
-                        .filter(|&v| (projection_mask >> v) & 1 == 1)
-                        .map(|v| vars[v].lit((mask >> v) & 1 == 0))
-                        .collect();
-                    solver.add_clause(&blocking);
-                    last_model = mask;
-                }
-                SatResult::Unsat => {}
+                SatResult::Sat => last_model = reference.block(&mut solver, &vars),
+                SatResult::Unsat => reference.assert_exhausted(),
                 SatResult::Unknown => prop_assert!(false, "no budget was set, unknown is impossible"),
             }
             let Some(event) = events.next() else {
@@ -244,18 +289,17 @@ proptest! {
             let lits = |pos: &dyn Fn(usize, bool) -> bool| -> Vec<(usize, bool)> {
                 event.lits.iter().map(|&(v, p)| (v, pos(v, p))).collect()
             };
+            let mut add_clause = |solver: &mut Solver, clause: Vec<(usize, bool)>| {
+                let sat_lits: Vec<_> = clause.iter().map(|&(v, p)| vars[v].lit(p)).collect();
+                solver.add_clause(&sat_lits);
+                reference.instance.clauses.push(clause);
+            };
+            // Every literal false under the last model.
+            let lemma = lits(&|v, _| (last_model >> v) & 1 == 0);
             match event.kind {
-                0..=2 => {
-                    let clause = match event.kind {
-                        // Every literal false under the last model.
-                        0 => lits(&|v, _| (last_model >> v) & 1 == 0),
-                        1 => lits(&|_, p| p)[..1].to_vec(),
-                        _ => lits(&|_, p| p),
-                    };
-                    let sat_lits: Vec<_> = clause.iter().map(|&(v, p)| vars[v].lit(p)).collect();
-                    solver.add_clause(&sat_lits);
-                    reference.instance.clauses.push(clause);
-                }
+                0 => add_clause(&mut solver, lemma),
+                1 => add_clause(&mut solver, lits(&|_, p| p)[..1].to_vec()),
+                2 => add_clause(&mut solver, lits(&|_, p| p)),
                 3 => {
                     let row: Vec<usize> = event.lits.iter().map(|&(v, _)| v).collect();
                     let xs: Vec<Var> = row.iter().map(|&v| vars[v]).collect();
@@ -282,21 +326,32 @@ proptest! {
                         reference.retired.push(g.reference);
                     }
                 }
-                _ => {
+                6 => {
                     let keep = if event.flag { 2 } else { 0 };
                     reference.assumed = event.lits.iter().take(keep).copied().collect();
                 }
+                7 => {
+                    // The second lemma arrives while the first may be pending.
+                    let rest = lemma[1..].to_vec();
+                    add_clause(&mut solver, lemma);
+                    if !rest.is_empty() {
+                        add_clause(&mut solver, rest);
+                    }
+                }
+                _ => {
+                    // With no conflict to spare, a pending conflict ends the
+                    // call as `Unknown`; the solver must stay usable.
+                    solver.set_conflict_budget(Some(0));
+                    match solver.solve(&assumptions(&reference, &guarded)) {
+                        SatResult::Sat => last_model = reference.block(&mut solver, &vars),
+                        SatResult::Unsat => reference.assert_exhausted(),
+                        SatResult::Unknown => {}
+                    }
+                    solver.set_conflict_budget(None);
+                }
             }
         }
-        // The solver ran dry: every projection the final formula allows
-        // under the final assumptions was enumerated at some point.
-        for mask in 0..(1u32 << NUM_VARS) {
-            if reference.holds(mask) {
-                prop_assert!(
-                    reference.blocked.contains(&(mask & projection_mask)),
-                    "projection {:#b} never enumerated", mask & projection_mask
-                );
-            }
-        }
+        // The solver ran dry under the final assumptions.
+        reference.assert_exhausted();
     }
 }

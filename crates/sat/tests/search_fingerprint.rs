@@ -120,23 +120,24 @@ fn run() -> (SatStats, Vec<u32>) {
     (s.stats(), sequence)
 }
 
-/// The model sequence captured before the clause arena and lazy XOR
-/// reasons replaced per-clause vectors and eager reason clauses.
+/// The model sequence captured when a blocking clause falsified at its top
+/// level became the next solve's first conflict (before that it unwound its
+/// level, and the sequence began the same eight models).
 const PINNED_SEQUENCE: [u32; 54] = [
-    13818, 12432, 13488, 13552, 14018, 14276, 14160, 10400, UNSAT, 14247, 14004, 8616, 10024,
-    10156, 9387, 13409, 13760, UNSAT, 13779, 14006, 14243, 13409, 13520, 2209, 13984, 14261, UNSAT,
-    8361, 8616, 8489, 13816, 13819, 13690, 14193, 10416, 12432, 13489, 13776, 13649, 13523, 13411,
-    10465, 14007, 14260, UNSAT, 12697, 13786, 14298, 13776, 13632, 14144, 14020, 14288, 9001,
+    13818, 12432, 13488, 13552, 14018, 14276, 14160, 10400, UNSAT, 8616, 10024, 10156, 9387, 14247,
+    14004, 13409, 13891, UNSAT, 2209, 13984, 14006, 14261, 14243, 13779, 13520, 13409, UNSAT,
+    13816, 13819, 13690, 14171, 14298, 8361, 8616, 8489, 12689, 13489, 13649, 13776, 13523, 14260,
+    14007, 13411, 14298, UNSAT, 8320, 9001, 8489, 13632, 14144, 14183, 14288, 13776, 14298,
 ];
 
 #[test]
 fn seeded_enumeration_keeps_its_search() {
     let (stats, sequence) = run();
     assert_eq!(sequence, PINNED_SEQUENCE);
-    assert_eq!(stats.conflicts, 439);
-    assert_eq!(stats.decisions, 1069);
-    assert_eq!(stats.propagations, 10805);
+    assert_eq!(stats.conflicts, 495);
+    assert_eq!(stats.decisions, 1100);
+    assert_eq!(stats.propagations, 9832);
     assert_eq!(stats.restarts, 0);
-    assert_eq!(stats.learnts, 439);
+    assert_eq!(stats.learnts, 495);
     assert_eq!(run(), (stats, sequence), "the run is deterministic");
 }

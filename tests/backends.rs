@@ -233,8 +233,9 @@ fn rebuild_reference_enumeration_keeps_its_search() {
     // The benchmark's reference count: `enumerate_with` on the rebuild
     // backend with one thread, over a generated instance printed to
     // SMT-LIB and parsed back.  The enumeration never pops, so rebuild
-    // mode never re-encodes and its SAT search must match the figures
-    // captured on the rebuilding context it replaced.
+    // mode never re-encodes and its SAT search must match the pinned
+    // figures, captured once a blocking clause falsified at its top level
+    // became the next check's first conflict.
     // (instance, count, checks, SAT calls, conflicts)
     let pins = [
         (
@@ -246,7 +247,7 @@ fn rebuild_reference_enumeration_keeps_its_search() {
             438,
             439,
             439,
-            266,
+            232,
         ),
         (
             information_flow(&GenParams {
@@ -257,7 +258,7 @@ fn rebuild_reference_enumeration_keeps_its_search() {
             512,
             513,
             513,
-            256,
+            255,
         ),
     ];
     for (instance, count, checks, sat_calls, conflicts) in pins {
