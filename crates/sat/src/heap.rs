@@ -2,6 +2,9 @@
 
 use crate::lit::Var;
 
+/// `VarHeap::position` of a variable not in the heap.
+const ABSENT: u32 = u32::MAX;
+
 /// A max-heap of variables keyed by an external activity array.
 ///
 /// The heap stores each variable's position so that `decrease`/`increase`
@@ -9,7 +12,8 @@ use crate::lit::Var;
 #[derive(Debug, Default, Clone)]
 pub struct VarHeap {
     heap: Vec<Var>,
-    position: Vec<Option<usize>>,
+    /// Each variable's index in `heap`, or [`ABSENT`].
+    position: Vec<u32>,
 }
 
 impl VarHeap {
@@ -21,7 +25,7 @@ impl VarHeap {
     /// Ensures the heap can track variables up to `n - 1`.
     pub fn grow_to(&mut self, n: usize) {
         if self.position.len() < n {
-            self.position.resize(n, None);
+            self.position.resize(n, ABSENT);
         }
     }
 
@@ -31,23 +35,15 @@ impl VarHeap {
         self.heap.is_empty()
     }
 
-    /// Returns `true` when `v` is currently in the heap.
-    pub fn contains(&self, v: Var) -> bool {
-        self.position
-            .get(v.index())
-            .map(|p| p.is_some())
-            .unwrap_or(false)
-    }
-
     /// Inserts `v` unless it is already present.
     pub fn insert(&mut self, v: Var, activity: &[f64]) {
         self.grow_to(v.index() + 1);
-        if self.contains(v) {
+        if self.position[v.index()] != ABSENT {
             return;
         }
         let i = self.heap.len();
         self.heap.push(v);
-        self.position[v.index()] = Some(i);
+        self.position[v.index()] = i as u32;
         self.sift_up(i, activity);
     }
 
@@ -57,11 +53,11 @@ impl VarHeap {
             return None;
         }
         let top = self.heap[0];
-        self.position[top.index()] = None;
+        self.position[top.index()] = ABSENT;
         let last = self.heap.pop().expect("non-empty heap");
         if !self.heap.is_empty() {
             self.heap[0] = last;
-            self.position[last.index()] = Some(0);
+            self.position[last.index()] = 0;
             self.sift_down(0, activity);
         }
         Some(top)
@@ -69,8 +65,9 @@ impl VarHeap {
 
     /// Restores the heap property after `v`'s activity increased.
     pub fn update(&mut self, v: Var, activity: &[f64]) {
-        if let Some(Some(i)) = self.position.get(v.index()).copied() {
-            self.sift_up(i, activity);
+        match self.position.get(v.index()) {
+            Some(&i) if i != ABSENT => self.sift_up(i as usize, activity),
+            _ => {}
         }
     }
 
@@ -111,8 +108,8 @@ impl VarHeap {
 
     fn swap(&mut self, i: usize, j: usize) {
         self.heap.swap(i, j);
-        self.position[self.heap[i].index()] = Some(i);
-        self.position[self.heap[j].index()] = Some(j);
+        self.position[self.heap[i].index()] = i as u32;
+        self.position[self.heap[j].index()] = j as u32;
     }
 }
 

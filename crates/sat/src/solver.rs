@@ -660,9 +660,7 @@ impl Solver {
             let v = lit.var();
             self.assigns[v.index()] = LBool::Undef;
             self.reason[v.index()] = None;
-            if !self.order.contains(v) {
-                self.order.insert(v, &self.activity);
-            }
+            self.order.insert(v, &self.activity);
         }
         self.trail_lim.truncate(target_level as usize);
         self.qhead = self.trail.len();
