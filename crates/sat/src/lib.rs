@@ -10,7 +10,9 @@
 //! (§III-E), mirroring what CryptoMiniSat provides to the original tool.
 //! A satisfying assignment stays on the trail, so an enumeration loop that
 //! blocks each model and solves again under the same assumptions resumes
-//! from it instead of re-deciding from the root (see [`Solver::solve`]).
+//! from it instead of re-deciding from the root, and a blocking clause the
+//! model falsifies on its last level is that next call's first conflict
+//! (see [`Solver::solve`] and [`Solver::add_clause`]).
 //!
 //! # Example
 //!

@@ -420,6 +420,8 @@ impl Solver {
     /// allowed next to a true watch assigned no later than it.  Literals are
     /// ordered non-false first, then false by descending level, and the
     /// trail is cut back when the first two do not already satisfy that.
+    /// Two false watches on the same level are the exception: the clause
+    /// is then a conflict at that level, kept pending for the next `solve`.
     fn attach_above_root(&mut self, clause: &mut [Lit]) {
         if self.pending_conflict.is_some() {
             // Unassigns both watches of the pending clause.

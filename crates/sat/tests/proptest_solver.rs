@@ -267,13 +267,13 @@ proptest! {
         let mut guarded: Vec<Guarded> = Vec::new();
         let mut events = events.into_iter();
         let mut last_model = 0u32;
+        let assumptions = |reference: &Reference, guarded: &[Guarded]| {
+            let mut lits: Vec<_> =
+                reference.assumed.iter().map(|&(v, pos)| vars[v].lit(pos)).collect();
+            lits.extend(guarded.iter().map(|g| g.act.positive()));
+            lits
+        };
         loop {
-            let assumptions = |reference: &Reference, guarded: &[Guarded]| {
-                let mut lits: Vec<_> =
-                    reference.assumed.iter().map(|&(v, pos)| vars[v].lit(pos)).collect();
-                lits.extend(guarded.iter().map(|g| g.act.positive()));
-                lits
-            };
             let verdict = solver.solve(&assumptions(&reference, &guarded));
             match verdict {
                 SatResult::Sat => last_model = reference.block(&mut solver, &vars),
