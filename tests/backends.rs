@@ -17,7 +17,7 @@ use pact::{
     BackendSpec, CountOutcome, CountReport, CounterConfig, HashFamily, OracleFactory,
     ParallelConfig, Session,
 };
-use pact_benchgen::{cps_robustness, information_flow, GenParams};
+use pact_benchgen::{cps_robustness, information_flow, quantitative_verification, GenParams};
 use pact_ir::{Rational, Sort, TermId, TermManager};
 
 /// The backend spec the old `incremental(bool)` toggle selected.
@@ -282,5 +282,79 @@ fn rebuild_reference_enumeration_keeps_its_search() {
         assert_eq!(oracle.sat_calls, sat_calls, "{name}");
         assert_eq!(oracle.conflicts, conflicts, "{name}");
         assert_eq!(oracle.rebuilds, 0, "{name}");
+    }
+}
+
+#[test]
+fn incremental_xor_counts_keep_their_search() {
+    // The benchmark's timed counts: `pact_xor` (ε 0.8, δ 0.2, 3 outer
+    // iterations, one thread) on the default incremental backend, over
+    // generated instances of the shapes it times, printed to SMT-LIB and
+    // parsed back.  The whole SAT search of each count is pinned: a kernel
+    // change that claims to keep the search must keep every figure.
+    // Captured before the SAT kernel read values by literal.
+    // (instance, hash seed, estimate, oracle calls, cells, SAT calls,
+    // conflicts, compactions)
+    let pins = [
+        (
+            cps_robustness(&GenParams {
+                scale: 1,
+                width: 9,
+                seed: 21,
+            }),
+            0x5844_4952_u64,
+            392.0,
+            418,
+            9,
+            418,
+            300,
+            2,
+        ),
+        (
+            quantitative_verification(&GenParams {
+                scale: 2,
+                width: 10,
+                seed: 22,
+            }),
+            0x0bad_cafe_u64,
+            784.0,
+            441,
+            9,
+            441,
+            445,
+            2,
+        ),
+    ];
+    for (instance, seed, estimate, oracle_calls, cells, sat_calls, conflicts, compactions) in pins {
+        let mut tm = TermManager::new();
+        let parsed = pact_ir::parser::parse_script(&mut tm, &instance.to_smtlib()).unwrap();
+        let mut session = Session::builder(tm)
+            .assert_all(&parsed.asserts)
+            .project_all(&parsed.projection)
+            .build()
+            .unwrap();
+        let config = CounterConfig {
+            epsilon: 0.8,
+            delta: 0.2,
+            family: HashFamily::Xor,
+            seed,
+            iterations_override: Some(3),
+            parallel: ParallelConfig { threads: 1 },
+            ..CounterConfig::default()
+        };
+        let report = session.count_with(&config).unwrap();
+        let name = &instance.name;
+        let stats = &report.stats;
+        assert!(
+            matches!(report.outcome, CountOutcome::Approximate { .. }),
+            "{name}"
+        );
+        assert_eq!(report.outcome.value(), Some(estimate), "{name}");
+        assert_eq!(stats.oracle_calls, oracle_calls, "{name}");
+        assert_eq!(stats.cells_explored, cells, "{name}");
+        assert_eq!(stats.oracle.sat_calls, sat_calls, "{name}");
+        assert_eq!(stats.oracle.conflicts, conflicts, "{name}");
+        assert_eq!(stats.oracle.compactions, compactions, "{name}");
+        assert_eq!(stats.oracle.rebuilds, 0, "{name}");
     }
 }
