@@ -204,11 +204,22 @@ impl RunControl {
         }
     }
 
-    /// The cancellation token's solver-level interrupt flag, if a token is
-    /// attached — what the engine hands to every oracle it builds so
-    /// cancellation reaches in-flight solver calls.
+    /// The solver-level interrupt flag the engine hands to every oracle it
+    /// builds, so cancellation and the deadline reach in-flight solver
+    /// calls: the cancellation token's flag, carrying the deadline, or
+    /// `None` when the run has neither.
     pub fn solver_interrupt(&self) -> Option<InterruptFlag> {
-        self.cancel.as_ref().map(CancellationToken::interrupt_flag)
+        if self.cancel.is_none() && self.deadline.is_none() {
+            return None;
+        }
+        let flag = self
+            .cancel
+            .as_ref()
+            .map_or_else(InterruptFlag::new, CancellationToken::interrupt_flag);
+        Some(match self.deadline {
+            Some(deadline) => flag.with_deadline(deadline),
+            None => flag,
+        })
     }
 }
 

@@ -8,47 +8,75 @@
 //! [`XorEngine::explain`]).  Adding a clause, learning one and propagating
 //! therefore allocate only when the arena, a watch list or a buffer the
 //! solver keeps has to grow.
+//!
+//! Values are indexed by literal, as in CaDiCaL and Kissat: `values`
+//! holds an entry per [`Lit::code`], and a variable's two entries are
+//! always complementary or both [`LBool::Undef`], so a literal's value is
+//! one load.  Propagation notifies the XOR engine only of variables some
+//! row watches.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use crate::heap::VarHeap;
 use crate::lit::{LBool, Lit, Var};
 use crate::xor::{AddXor, XorEngine};
 
 /// A cloneable flag that asks an in-flight [`Solver::solve`] call to give up
-/// at its next safe point (a conflict or a restart boundary).
+/// at its next safe point (a conflict or a restart boundary), optionally
+/// with an absolute deadline after which it counts as raised.
 ///
 /// Clones share the same atomic, so a flag handed to a solver before the
 /// solve can be raised from another thread while the search runs — this is
 /// what lets a portfolio oracle cancel losing workers, and what lets a
 /// cooperative cancellation token reach *inside* a long solver call instead
-/// of waiting for it to return.  An interrupted solve answers
-/// [`SatResult::Unknown`]; the solver stays usable (learnt clauses and
-/// activities are kept, the trail is unwound to level zero).
+/// of waiting for it to return.  A deadline lets one long solve stop when
+/// the run it belongs to is out of time; the solver reads the clock for it
+/// only at a conflict, once every 64 conflicts.  An
+/// interrupted solve answers [`SatResult::Unknown`]; the solver stays usable
+/// (learnt clauses and activities are kept, the trail is unwound to level
+/// zero).
 #[derive(Debug, Clone, Default)]
-pub struct InterruptFlag(Arc<AtomicBool>);
+pub struct InterruptFlag {
+    raised: Arc<AtomicBool>,
+    deadline: Option<Instant>,
+}
 
 impl InterruptFlag {
-    /// Creates a fresh, lowered flag.
+    /// Creates a fresh, lowered flag without a deadline.
     pub fn new() -> Self {
         InterruptFlag::default()
     }
 
+    /// This flag (sharing its atomic) with `deadline` as well: a solve that
+    /// watches it also gives up once the deadline has passed.
+    pub fn with_deadline(&self, deadline: Instant) -> Self {
+        InterruptFlag {
+            raised: Arc::clone(&self.raised),
+            deadline: Some(deadline),
+        }
+    }
+
+    /// The deadline, if the flag has one.
+    pub fn deadline(&self) -> Option<Instant> {
+        self.deadline
+    }
+
     /// Raises the flag; every clone observes it.
     pub fn set(&self) {
-        self.0.store(true, Ordering::Relaxed);
+        self.raised.store(true, Ordering::Relaxed);
     }
 
     /// Lowers the flag so the solver (and anything sharing the flag) can be
-    /// used again.
+    /// used again.  The deadline is not affected.
     pub fn clear(&self) {
-        self.0.store(false, Ordering::Relaxed);
+        self.raised.store(false, Ordering::Relaxed);
     }
 
-    /// Whether the flag is raised.
+    /// Whether the flag is raised (the deadline is not consulted).
     pub fn is_set(&self) -> bool {
-        self.0.load(Ordering::Relaxed)
+        self.raised.load(Ordering::Relaxed)
     }
 }
 
@@ -141,6 +169,10 @@ enum Conflict {
     Xor(u32, Option<Lit>),
 }
 
+/// A solve watching a deadline reads the clock at every conflict whose
+/// running total (see [`SatStats::conflicts`]) is a multiple of this.
+const DEADLINE_POLL: u64 = 64;
+
 const VAR_DECAY: f64 = 0.95;
 const ACTIVITY_LIMIT: f64 = 1e100;
 const RESTART_BASE: u64 = 100;
@@ -167,7 +199,11 @@ pub struct Solver {
     /// Number of clauses in `arena`.
     num_clauses: usize,
     watches: Vec<Vec<Watcher>>,
-    assigns: Vec<LBool>,
+    /// The value of every literal, indexed by [`Lit::code`]: a variable's
+    /// two entries are set together by `enqueue` (complementary) and
+    /// cleared together by `cancel_until` (both `Undef`), so reading a
+    /// literal's value is one load.
+    values: Vec<LBool>,
     level: Vec<u32>,
     reason: Vec<Option<Reason>>,
     trail: Vec<Lit>,
@@ -188,6 +224,8 @@ pub struct Solver {
     noise_state: u64,
     /// Cooperative interrupts: `solve` gives up when any flag is raised.
     interrupts: Vec<InterruptFlag>,
+    /// The earliest deadline among `interrupts`.
+    deadline: Option<Instant>,
     /// Per-variable attached-clause occurrence counts (problem and learnt
     /// clauses), maintained incrementally so the lookahead never re-scans
     /// the clause store.
@@ -218,7 +256,7 @@ impl Default for Solver {
             arena: Vec::new(),
             num_clauses: 0,
             watches: Vec::new(),
-            assigns: Vec::new(),
+            values: Vec::new(),
             level: Vec::new(),
             reason: Vec::new(),
             trail: Vec::new(),
@@ -237,6 +275,7 @@ impl Default for Solver {
             opts: SatOptions::default(),
             noise_state: 0,
             interrupts: Vec::new(),
+            deadline: None,
             occurrences: Vec::new(),
             trail_assumptions: Vec::new(),
             pending_conflict: None,
@@ -266,6 +305,7 @@ impl Solver {
     /// Replaces the interrupt flags watched by subsequent `solve` calls
     /// (see [`InterruptFlag`]); an empty list removes them.
     pub fn set_interrupts(&mut self, flags: Vec<InterruptFlag>) {
+        self.deadline = flags.iter().filter_map(InterruptFlag::deadline).min();
         self.interrupts = flags;
     }
 
@@ -273,9 +313,17 @@ impl Solver {
         !self.interrupts.is_empty() && self.interrupts.iter().any(InterruptFlag::is_set)
     }
 
+    /// Whether the conflict just counted ends the solve: a flag is raised,
+    /// or this is a clock-reading conflict and the deadline has passed.
+    fn interrupted_at_conflict(&self) -> bool {
+        self.interrupted()
+            || (self.stats.conflicts.is_multiple_of(DEADLINE_POLL)
+                && self.deadline.is_some_and(|d| Instant::now() >= d))
+    }
+
     /// Number of variables created so far.
     pub fn num_vars(&self) -> usize {
-        self.assigns.len()
+        self.values.len() / 2
     }
 
     /// Number of attached problem clauses plus learnt clauses.  Units and
@@ -299,9 +347,10 @@ impl Solver {
 
     /// Creates a fresh variable.
     pub fn new_var(&mut self) -> Var {
-        let v = Var(self.assigns.len() as u32);
+        let v = Var(self.num_vars() as u32);
         let noise = self.next_activity_noise();
-        self.assigns.push(LBool::Undef);
+        self.values.push(LBool::Undef);
+        self.values.push(LBool::Undef);
         self.level.push(0);
         self.reason.push(None);
         self.activity.push(noise);
@@ -330,7 +379,7 @@ impl Solver {
     }
 
     fn value(&self, lit: Lit) -> LBool {
-        self.assigns[lit.var().index()].of_lit(lit)
+        self.values[lit.code()]
     }
 
     /// Adds a clause; returns `false` if the formula became trivially
@@ -404,9 +453,8 @@ impl Solver {
 
     /// Value of `lit` if its variable is fixed at decision level zero.
     fn level_zero_value(&self, lit: Lit) -> LBool {
-        let v = lit.var().index();
-        if self.level[v] == 0 {
-            self.assigns[v].of_lit(lit)
+        if self.level[lit.var().index()] == 0 {
+            self.value(lit)
         } else {
             LBool::Undef
         }
@@ -477,7 +525,7 @@ impl Solver {
         }
         // Rows are simplified against level-zero values only.
         self.cancel_until(0);
-        match self.xor.add_row(vars, rhs, &self.assigns) {
+        match self.xor.add_row(vars, rhs, &self.values) {
             AddXor::Stored(row) => {
                 self.stats.xor_rows = self.xor.len() as u64;
                 (true, Some(row as usize))
@@ -546,7 +594,8 @@ impl Solver {
             LBool::False => false,
             LBool::Undef => {
                 let v = lit.var().index();
-                self.assigns[v] = LBool::from_bool(lit.is_positive());
+                self.values[lit.code()] = LBool::True;
+                self.values[(!lit).code()] = LBool::False;
                 self.level[v] = self.decision_level();
                 self.reason[v] = reason;
                 self.phase[v] = lit.is_positive();
@@ -565,8 +614,11 @@ impl Solver {
             if let Some(conflict) = self.propagate_clauses(p) {
                 return Some(conflict);
             }
-            if let Some(conflict) = self.propagate_xor(p) {
-                return Some(conflict);
+            // Most assigned variables are watched by no XOR row.
+            if self.xor.watches(p.var()) {
+                if let Some(conflict) = self.propagate_xor(p) {
+                    return Some(conflict);
+                }
             }
         }
         None
@@ -584,8 +636,8 @@ impl Solver {
                 continue;
             }
             let cref = w.clause;
-            let assigns = &self.assigns;
-            let value = |l: Lit| assigns[l.var().index()].of_lit(l);
+            let values = &self.values;
+            let value = |l: Lit| values[l.code()];
             let start = cref as usize + 1;
             let len = self.arena[cref as usize].code();
             let lits = &mut self.arena[start..start + len];
@@ -636,7 +688,7 @@ impl Solver {
     fn propagate_xor(&mut self, p: Lit) -> Option<Conflict> {
         let mut implied = std::mem::take(&mut self.xor_implied);
         implied.clear();
-        let falsified = self.xor.on_assign(p.var(), &self.assigns, &mut implied);
+        let falsified = self.xor.on_assign(p.var(), &self.values, &mut implied);
         let mut conflict = falsified.map(|row| Conflict::Xor(row, None));
         for &(lit, row) in &implied {
             if !self.enqueue(lit, Some(Reason::Xor(row))) {
@@ -660,7 +712,8 @@ impl Solver {
         while self.trail.len() > bound {
             let lit = self.trail.pop().expect("trail not empty");
             let v = lit.var();
-            self.assigns[v.index()] = LBool::Undef;
+            self.values[lit.code()] = LBool::Undef;
+            self.values[(!lit).code()] = LBool::Undef;
             self.reason[v.index()] = None;
             self.order.insert(v, &self.activity);
         }
@@ -686,7 +739,7 @@ impl Solver {
     /// Makes `xor_clause` the clause of an XOR reason or conflict.
     fn explain_xor(&mut self, row: u32, implied: Option<Lit>) {
         self.xor
-            .explain(row, implied, &self.assigns, &mut self.xor_clause);
+            .explain(row, implied, &self.values, &mut self.xor_clause);
     }
 
     /// Literal `k` of the clause analysis is reading: an arena clause, or
@@ -792,7 +845,7 @@ impl Solver {
 
     fn pick_branch_var(&mut self) -> Option<Var> {
         while let Some(v) = self.order.pop(&self.activity) {
-            if !self.assigns[v.index()].is_assigned() {
+            if !self.value(v.positive()).is_assigned() {
                 return Some(v);
             }
         }
@@ -865,8 +918,11 @@ impl Solver {
     /// Learnt clauses persist across calls, giving incremental behaviour.
     /// Interrupt flags installed via [`Solver::set_interrupts`] are polled at
     /// every conflict (which covers every restart boundary — restarts fire
-    /// right after conflict handling); a raised flag makes the call return
-    /// [`SatResult::Unknown`] with the solver left reusable.
+    /// right after conflict handling), and their deadline at every 64th
+    /// conflict (never on entry, so a call that meets few conflicts never
+    /// reads the clock); a raised flag or a passed
+    /// deadline makes the call return [`SatResult::Unknown`] with the
+    /// solver left reusable.
     /// A clause learnt while refuting an assumption contains that
     /// assumption's negation as an ordinary literal, so it is implied by the
     /// formula alone and remains sound for later calls with different
@@ -936,7 +992,7 @@ impl Solver {
                     self.enqueue(asserting, Some(Reason::Clause(cref)));
                 }
                 self.decay_activities();
-                if self.conflict_exhausted(budget_start) || self.interrupted() {
+                if self.conflict_exhausted(budget_start) || self.interrupted_at_conflict() {
                     self.cancel_until(0);
                     return SatResult::Unknown;
                 }
@@ -1017,7 +1073,7 @@ impl Solver {
     fn save_model(&mut self) {
         self.model.clear();
         self.model
-            .extend(self.assigns.iter().map(|&a| a == LBool::True));
+            .extend(self.values.iter().step_by(2).map(|&a| a == LBool::True));
     }
 
     /// Value of `v` in the most recent satisfying assignment.
@@ -1747,6 +1803,105 @@ mod tests {
         assert!(
             reasons > 0 && failed > 0 && falsified > 0,
             "{reasons} {failed} {falsified}"
+        );
+    }
+
+    /// Checks the literal-indexed values against the trail: a variable's
+    /// two entries are complementary exactly when it is on the trail (and
+    /// its trail literal is the true one) and both `Undef` otherwise, and
+    /// `level_zero_value` is assigned exactly for the trail's level-zero
+    /// prefix.
+    fn check_values(s: &Solver) {
+        let n = s.num_vars();
+        assert_eq!(s.values.len(), 2 * n);
+        let root = s.trail_lim.first().copied().unwrap_or(s.trail.len());
+        let mut on_trail = vec![None; n];
+        for (i, &lit) in s.trail.iter().enumerate() {
+            assert!(
+                on_trail[lit.var().index()].is_none(),
+                "{lit} twice on the trail"
+            );
+            on_trail[lit.var().index()] = Some((i, lit));
+        }
+        for (v, entry) in on_trail.into_iter().enumerate() {
+            let var = Var(v as u32);
+            let (pos, neg) = (s.values[2 * v], s.values[2 * v + 1]);
+            match entry {
+                None => assert_eq!((pos, neg), (LBool::Undef, LBool::Undef), "{var}"),
+                Some((_, lit)) => {
+                    assert_eq!(s.values[lit.code()], LBool::True, "{var}");
+                    assert_eq!(s.values[(!lit).code()], LBool::False, "{var}");
+                }
+            }
+            let fixed = match entry {
+                Some((i, lit)) if i < root => LBool::from_bool(lit.is_positive()),
+                _ => LBool::Undef,
+            };
+            assert_eq!(s.level_zero_value(var.positive()), fixed, "{var}");
+        }
+    }
+
+    #[test]
+    fn literal_values_agree_with_the_trail_and_the_model() {
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |bound: usize| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng % bound as u64) as usize
+        };
+        let (mut models, mut refuted, mut retired) = (0, 0, 0);
+        for _ in 0..60 {
+            let n = 6 + next(7);
+            let mut s = Solver::new();
+            let v = vars(&mut s, n);
+            let mut rows = Vec::new();
+            let mut assumptions: Vec<Lit> = Vec::new();
+            for step in 0..60 {
+                // The first steps build the formula; later ones mix
+                // assumption changes, new clauses and rows, and retired
+                // rows into an enumeration.
+                match if step < n { 2 } else { next(8) } {
+                    0 => {
+                        assumptions = (0..next(3)).map(|_| v[next(n)].lit(next(2) == 0)).collect();
+                    }
+                    1 => {
+                        let row: Vec<Var> = v.iter().copied().filter(|_| next(3) == 0).collect();
+                        rows.extend(s.add_xor_tracked(&row, next(2) == 0).1);
+                    }
+                    2 => {
+                        let clause: Vec<Lit> = (0..2 + next(2))
+                            .map(|_| v[next(n)].lit(next(2) == 0))
+                            .collect();
+                        s.add_clause(&clause);
+                    }
+                    3 if !rows.is_empty() => {
+                        s.deactivate_xor(rows.swap_remove(next(rows.len())));
+                        retired += 1;
+                    }
+                    _ => {}
+                }
+                check_values(&s);
+                match s.solve(&assumptions) {
+                    SatResult::Sat => {
+                        models += 1;
+                        check_values(&s);
+                        let positive: Vec<bool> =
+                            (0..n).map(|i| s.values[2 * i] == LBool::True).collect();
+                        assert_eq!(s.model(), &positive[..]);
+                        let blocking: Vec<Lit> =
+                            v.iter().map(|&x| x.lit(!s.model_value(x))).collect();
+                        s.add_clause(&blocking);
+                    }
+                    SatResult::Unsat => refuted += 1,
+                    SatResult::Unknown => unreachable!("no budget and no interrupt"),
+                }
+                check_values(&s);
+            }
+        }
+        assert!(
+            models > 0 && refuted > 0 && retired > 0,
+            "{models} {refuted} {retired}"
         );
     }
 

@@ -13,6 +13,12 @@
 //! CryptoMiniSat builds its XOR reasons lazily (Soos, Gocht and Meel,
 //! CAV 2020).  That is sound because a row's other variables keep their
 //! values for as long as the literal it implied stays on the trail.
+//!
+//! Every method that reads the assignment takes the solver's
+//! literal-indexed values (one entry per [`Lit::code`]) and reads a
+//! variable at its positive literal.  The solver asks
+//! [`XorEngine::watches`] first and notifies the engine only of variables
+//! some row watches.
 
 use crate::lit::{LBool, Lit, Var};
 
@@ -82,7 +88,7 @@ impl XorEngine {
     /// Must be called at decision level zero.  Repeated variables cancel in
     /// pairs; variables already assigned at level zero are folded into the
     /// right-hand side.
-    pub fn add_row(&mut self, vars: &[Var], rhs: bool, assigns: &[LBool]) -> AddXor {
+    pub fn add_row(&mut self, vars: &[Var], rhs: bool, values: &[LBool]) -> AddXor {
         let mut rhs = rhs;
         let mut reduced: Vec<Var> = Vec::with_capacity(vars.len());
         let mut sorted = vars.to_vec();
@@ -95,7 +101,11 @@ impl XorEngine {
                 continue;
             }
             let v = sorted[i];
-            match assigns.get(v.index()).copied().unwrap_or(LBool::Undef) {
+            match values
+                .get(v.positive().code())
+                .copied()
+                .unwrap_or(LBool::Undef)
+            {
                 LBool::True => rhs = !rhs,
                 LBool::False => {}
                 LBool::Undef => reduced.push(v),
@@ -167,6 +177,14 @@ impl XorEngine {
         self.free.push(row);
     }
 
+    /// Whether any row watches `var`: [`XorEngine::on_assign`] has nothing
+    /// to do for a variable that none does.
+    pub fn watches(&self, var: Var) -> bool {
+        self.occurs
+            .get(var.index())
+            .is_some_and(|rows| !rows.is_empty())
+    }
+
     /// Notifies the engine that `var` has just been assigned.
     ///
     /// Appends an `(implied literal, row)` pair to `implied` for every row
@@ -177,7 +195,7 @@ impl XorEngine {
     pub fn on_assign(
         &mut self,
         var: Var,
-        assigns: &[LBool],
+        values: &[LBool],
         implied: &mut Vec<(Lit, u32)>,
     ) -> Option<u32> {
         let mut watching = std::mem::take(self.occurs.get_mut(var.index())?);
@@ -200,7 +218,7 @@ impl XorEngine {
                 if i == row.watch[which] || i == other_watch_pos {
                     continue;
                 }
-                if !assigns[v.index()].is_assigned() {
+                if !values[v.positive().code()].is_assigned() {
                     // Register the new watch; the old one for this row is
                     // dropped by not keeping it below.
                     row.watch[which] = i;
@@ -215,7 +233,7 @@ impl XorEngine {
             watching[kept] = row_idx;
             kept += 1;
             let other = row.vars[other_watch_pos];
-            let other_value = assigns[other.index()];
+            let other_value = values[other.positive().code()];
             // Parity of the assigned variables, excluding `other`.  If any
             // other variable is still unassigned the row can neither
             // propagate nor conflict yet.
@@ -225,7 +243,7 @@ impl XorEngine {
                 if v == other {
                     continue;
                 }
-                match assigns[v.index()] {
+                match values[v.positive().code()] {
                     LBool::True => parity = !parity,
                     LBool::False => {}
                     LBool::Undef => all_assigned = false,
@@ -258,13 +276,13 @@ impl XorEngine {
     /// row's variables in row order: the conflict of a falsified row.
     /// Either clause is entailed by the row.  `row` must not have been
     /// deactivated since it reported the implication or conflict.
-    pub fn explain(&self, row: u32, implied: Option<Lit>, assigns: &[LBool], out: &mut Vec<Lit>) {
+    pub fn explain(&self, row: u32, implied: Option<Lit>, values: &[LBool], out: &mut Vec<Lit>) {
         out.clear();
         out.extend(implied);
         let skip = implied.map(Lit::var);
         for &v in &self.rows[row as usize].vars {
             if Some(v) != skip {
-                out.push(!v.lit(assigns[v.index()] == LBool::True));
+                out.push(!v.lit(values[v.positive().code()] == LBool::True));
             }
         }
     }
@@ -274,8 +292,17 @@ impl XorEngine {
 mod tests {
     use super::*;
 
+    /// Literal-indexed values (see [`Lit::code`]) of `n` unassigned
+    /// variables.
     fn assigns(n: usize) -> Vec<LBool> {
-        vec![LBool::Undef; n]
+        vec![LBool::Undef; 2 * n]
+    }
+
+    /// Assigns `Var(v)` the value `b` in literal-indexed values.
+    fn set(a: &mut [LBool], v: u32, b: bool) {
+        let lit = Var(v).lit(b);
+        a[lit.code()] = LBool::True;
+        a[(!lit).code()] = LBool::False;
     }
 
     /// Runs `on_assign` for `var`; returns the implications and the
@@ -314,7 +341,7 @@ mod tests {
     fn add_row_folds_level_zero_assignments() {
         let mut eng = XorEngine::new();
         let mut a = assigns(3);
-        a[0] = LBool::True;
+        set(&mut a, 0, true);
         // x0 ^ x1 = 0 with x0 = true reduces to x1 = 1.
         assert_eq!(
             eng.add_row(&[Var(0), Var(1)], false, &a),
@@ -330,9 +357,9 @@ mod tests {
             eng.add_row(&[Var(0), Var(1), Var(2)], true, &a),
             AddXor::Stored(0)
         );
-        a[0] = LBool::True;
+        set(&mut a, 0, true);
         assert!(silent(&mut eng, Var(0), &a));
-        a[1] = LBool::True;
+        set(&mut a, 1, true);
         // 1 ^ 1 ^ x2 = 1  =>  x2 = 1
         let (implied, falsified) = notify(&mut eng, Var(1), &a);
         assert_eq!(implied, vec![(Var(2).positive(), 0)]);
@@ -352,9 +379,9 @@ mod tests {
         let mut eng = XorEngine::new();
         let mut a = assigns(2);
         assert_eq!(eng.add_row(&[Var(0), Var(1)], true, &a), AddXor::Stored(0));
-        a[0] = LBool::True;
+        set(&mut a, 0, true);
         // Assign the second watch directly to the conflicting value.
-        a[1] = LBool::True;
+        set(&mut a, 1, true);
         assert_eq!(notify(&mut eng, Var(1), &a), (Vec::new(), Some(0)));
         let mut conflict = Vec::new();
         eng.explain(0, None, &a, &mut conflict);
@@ -367,15 +394,15 @@ mod tests {
         let mut a = assigns(3);
         assert_eq!(eng.add_row(&[Var(0), Var(1)], true, &a), AddXor::Stored(0));
         assert_eq!(eng.add_row(&[Var(0), Var(2)], true, &a), AddXor::Stored(1));
-        a[1] = LBool::True;
-        a[0] = LBool::True;
+        set(&mut a, 1, true);
+        set(&mut a, 0, true);
         // Row 0 is falsified first; row 1 is not visited.
         assert_eq!(notify(&mut eng, Var(0), &a), (Vec::new(), Some(0)));
         // Both still watch x0: a second notification reaches row 1 too.
         let (implied, falsified) = notify(&mut eng, Var(0), &a);
         assert_eq!(falsified, Some(0));
         assert!(implied.is_empty());
-        a[1] = LBool::False;
+        set(&mut a, 1, false);
         assert_eq!(
             notify(&mut eng, Var(0), &a),
             (vec![(Var(2).negative(), 1)], None)
@@ -392,11 +419,11 @@ mod tests {
         };
         eng.deactivate(row);
         // A sequence that would imply (then falsify) the row is ignored.
-        a[0] = LBool::True;
+        set(&mut a, 0, true);
         assert!(silent(&mut eng, Var(0), &a));
-        a[1] = LBool::True;
+        set(&mut a, 1, true);
         assert!(silent(&mut eng, Var(1), &a));
-        a[2] = LBool::False; // 1 ^ 1 ^ 0 = 0 ≠ 1 would be a conflict
+        set(&mut a, 2, false); // 1 ^ 1 ^ 0 = 0 ≠ 1 would be a conflict
         assert!(silent(&mut eng, Var(2), &a));
         // Deactivation is idempotent and tolerates unknown ids.
         eng.deactivate(row);
@@ -424,16 +451,16 @@ mod tests {
         assert_eq!(eng.len(), 1);
         // ...and the old row's variables no longer reach it: assigning all
         // of x0..x2 to what would have falsified the retired row is silent.
-        a[0] = LBool::True;
+        set(&mut a, 0, true);
         assert!(silent(&mut eng, Var(0), &a));
-        a[1] = LBool::True;
+        set(&mut a, 1, true);
         assert!(silent(&mut eng, Var(1), &a));
-        a[2] = LBool::False;
+        set(&mut a, 2, false);
         assert!(silent(&mut eng, Var(2), &a));
         // The recycled slot still propagates for its new variables.
-        a[3] = LBool::True;
+        set(&mut a, 3, true);
         assert!(silent(&mut eng, Var(3), &a));
-        a[4] = LBool::False;
+        set(&mut a, 4, false);
         // x3 ^ x4 ^ x5 = 0 with x3 = 1, x4 = 0  =>  x5 = 1
         assert_eq!(
             notify(&mut eng, Var(4), &a),
@@ -449,11 +476,11 @@ mod tests {
             eng.add_row(&[Var(0), Var(1), Var(2), Var(3)], false, &a),
             AddXor::Stored(0)
         );
-        a[0] = LBool::True;
+        set(&mut a, 0, true);
         assert!(silent(&mut eng, Var(0), &a));
-        a[1] = LBool::False;
+        set(&mut a, 1, false);
         assert!(silent(&mut eng, Var(1), &a));
-        a[2] = LBool::False;
+        set(&mut a, 2, false);
         assert_eq!(
             notify(&mut eng, Var(2), &a),
             (vec![(Var(3).positive(), 0)], None)
