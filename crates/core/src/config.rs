@@ -339,7 +339,10 @@ pub struct CounterConfig {
     pub family: HashFamily,
     /// Seed for all randomness (hash-function sampling).
     pub seed: u64,
-    /// Per-instance wall-clock budget; `None` means unlimited.
+    /// Per-instance wall-clock budget; `None` means unlimited.  It is
+    /// polled before every oracle call and, through the solver interrupt,
+    /// inside a long SAT search, so a single hard check does not run far
+    /// past it.
     pub deadline: Option<Duration>,
     /// Resource limits handed to the SMT oracle for every check.
     pub solver: SolverConfig,

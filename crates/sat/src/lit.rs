@@ -112,15 +112,6 @@ impl LBool {
     pub fn is_assigned(self) -> bool {
         self != LBool::Undef
     }
-
-    /// The truth value of a literal whose variable has this value.
-    pub fn of_lit(self, lit: Lit) -> LBool {
-        match (self, lit.is_positive()) {
-            (LBool::Undef, _) => LBool::Undef,
-            (LBool::True, true) | (LBool::False, false) => LBool::True,
-            _ => LBool::False,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -135,14 +126,5 @@ mod tests {
         assert_eq!(Lit::from_code(6), v.positive());
         assert_eq!(!v.positive(), v.negative());
         assert_eq!(!(!v.positive()), v.positive());
-    }
-
-    #[test]
-    fn lbool_of_lit() {
-        let v = Var(0);
-        assert_eq!(LBool::True.of_lit(v.positive()), LBool::True);
-        assert_eq!(LBool::True.of_lit(v.negative()), LBool::False);
-        assert_eq!(LBool::False.of_lit(v.negative()), LBool::True);
-        assert_eq!(LBool::Undef.of_lit(v.positive()), LBool::Undef);
     }
 }

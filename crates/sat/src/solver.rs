@@ -33,10 +33,9 @@ use crate::xor::{AddXor, XorEngine};
 /// cooperative cancellation token reach *inside* a long solver call instead
 /// of waiting for it to return.  A deadline lets one long solve stop when
 /// the run it belongs to is out of time; the solver reads the clock for it
-/// only at a conflict, once every 64 conflicts.  An
-/// interrupted solve answers [`SatResult::Unknown`]; the solver stays usable
-/// (learnt clauses and activities are kept, the trail is unwound to level
-/// zero).
+/// only at a conflict, once every 64 conflicts.  An interrupted solve
+/// answers [`SatResult::Unknown`]; the solver stays usable (learnt clauses
+/// and activities are kept, the trail is unwound to level zero).
 #[derive(Debug, Clone, Default)]
 pub struct InterruptFlag {
     raised: Arc<AtomicBool>,
@@ -56,11 +55,6 @@ impl InterruptFlag {
             raised: Arc::clone(&self.raised),
             deadline: Some(deadline),
         }
-    }
-
-    /// The deadline, if the flag has one.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.deadline
     }
 
     /// Raises the flag; every clone observes it.
@@ -305,7 +299,7 @@ impl Solver {
     /// Replaces the interrupt flags watched by subsequent `solve` calls
     /// (see [`InterruptFlag`]); an empty list removes them.
     pub fn set_interrupts(&mut self, flags: Vec<InterruptFlag>) {
-        self.deadline = flags.iter().filter_map(InterruptFlag::deadline).min();
+        self.deadline = flags.iter().filter_map(|f| f.deadline).min();
         self.interrupts = flags;
     }
 
@@ -920,9 +914,8 @@ impl Solver {
     /// every conflict (which covers every restart boundary — restarts fire
     /// right after conflict handling), and their deadline at every 64th
     /// conflict (never on entry, so a call that meets few conflicts never
-    /// reads the clock); a raised flag or a passed
-    /// deadline makes the call return [`SatResult::Unknown`] with the
-    /// solver left reusable.
+    /// reads the clock); a raised flag or a passed deadline makes the call
+    /// return [`SatResult::Unknown`] with the solver left reusable.
     /// A clause learnt while refuting an assumption contains that
     /// assumption's negation as an ordinary literal, so it is implied by the
     /// formula alone and remains sound for later calls with different

@@ -290,9 +290,9 @@ fn incremental_xor_counts_keep_their_search() {
     // The benchmark's timed counts: `pact_xor` (ε 0.8, δ 0.2, 3 outer
     // iterations, one thread) on the default incremental backend, over
     // generated instances of the shapes it times, printed to SMT-LIB and
-    // parsed back.  The whole SAT search of each count is pinned: a kernel
+    // parsed back.  Each count's oracle and SAT work is pinned: a kernel
     // change that claims to keep the search must keep every figure.
-    // Captured before the SAT kernel read values by literal.
+    // Captured on the kernel that still decoded values per variable.
     // (instance, hash seed, estimate, oracle calls, cells, SAT calls,
     // conflicts, compactions)
     let pins = [
