@@ -27,7 +27,7 @@ use pact_ir::{TermId, TermManager};
 use pact_solver::{Oracle, SolverResult};
 
 use crate::config::CounterConfig;
-use crate::counter::{search_boundary, Search};
+use crate::counter::{search_boundary, Search, Start};
 use crate::error::{CountError, CountResult};
 use crate::parallel::{run_rounds, RoundOutput};
 use crate::progress::{ProgressEvent, RunControl};
@@ -279,7 +279,7 @@ fn cdm_round(
         .collect();
     // The largest non-empty prefix is one below the boundary the counter's
     // search finds: a SAT cell counts as saturated, an UNSAT one as small.
-    let search = search_boundary(total_bits, None, |m, _| {
+    let search = search_boundary(total_bits, Start::Saturated, |m, _| {
         if ctrl.interrupted() {
             return Ok((CellCount::Unknown, Vec::new()));
         }

@@ -134,8 +134,8 @@ impl std::str::FromStr for BackendSpec {
 ///
 /// The factory is `Send + Sync`, and custom constructors must be too
 /// ([`OracleFactory::new`] requires `Fn(SolverConfig) -> Box<dyn Oracle> +
-/// Send + Sync + 'static`).  It is invoked once for the base context and
-/// once per scheduled round — with a parallel [`ParallelConfig`] that means
+/// Send + Sync + 'static`).  It is invoked once per scheduled round (and
+/// once for CDM's base check) — with a parallel [`ParallelConfig`] that means
 /// once per worker-claimed round, on the worker's own thread (`Sync`), and
 /// service front-ends (`pact-service`) additionally move whole
 /// configurations onto shard threads (`Send`).  The bound is pinned by a
@@ -354,8 +354,8 @@ pub struct CounterConfig {
     /// Thread scheduling of the outer rounds (deterministic for every
     /// thread count; see [`ParallelConfig`]).
     pub parallel: ParallelConfig,
-    /// Which [`Oracle`] backend the run builds — once for the base context
-    /// and once per scheduled round, so parallel rounds each get their own
+    /// Which [`Oracle`] backend the run builds — once per scheduled round and
+    /// once more for CDM's base check, so parallel rounds each get their own
     /// oracle.  Defaults to the workspace's [`IncrementalContext`].
     pub oracle_factory: OracleFactory,
 }

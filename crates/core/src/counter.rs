@@ -3,9 +3,10 @@
 //! The public entry points are [`Session::count`](crate::Session::count) and
 //! the compatibility wrapper [`pact_count`]; both drive the engine in this
 //! module, which is generic over the [`Oracle`] backend (built through
-//! [`CounterConfig::oracle_factory`], once per scheduled round) and threads a
-//! [`RunControl`] — deadline, cancellation token, progress observer — through
-//! the round scheduler and the saturating counter.
+//! [`CounterConfig::oracle_factory`], once per scheduled round: lines 3-4,
+//! the exactness check, are prefix 0 of round 0's boundary search) and
+//! threads a [`RunControl`] — deadline, cancellation token, progress
+//! observer — through the round scheduler and the saturating counter.
 
 use std::time::Instant;
 
@@ -21,7 +22,7 @@ use crate::constants::get_constants;
 use crate::error::{CountError, CountResult};
 use crate::parallel::{run_rounds, RoundOutput};
 use crate::progress::{ProgressEvent, RunControl};
-use crate::result::{finish_report as finish, median, CountOutcome, CountReport, CountStats};
+use crate::result::{median, CountOutcome, CountReport, CountStats};
 use crate::saturating::{saturating_count_ctl, CellCount};
 use crate::session::Session;
 
@@ -107,47 +108,6 @@ pub(crate) fn count_pact(
         .iterations_override
         .unwrap_or(constants.iterations)
         .max(1);
-    let mut ctx = config.oracle_factory.build(config.solver);
-    if let Some(flag) = ctrl.solver_interrupt() {
-        ctx.set_interrupt(flag);
-    }
-    for &v in projection {
-        ctx.track_var(v);
-    }
-    for &f in formula {
-        ctx.assert_term(f);
-    }
-
-    let mut stats = CountStats::default();
-
-    // Line 3-4: if the whole projected space is already small, the count is exact.
-    let oracle_timer = Instant::now();
-    ctx.push();
-    let (base, _) = saturating_count_ctl(&mut *ctx, tm, projection, constants.thresh, None, &ctrl)?;
-    ctx.pop();
-    stats.oracle_seconds += oracle_timer.elapsed().as_secs_f64();
-    stats.cells_explored += 1;
-    ctrl.emit(ProgressEvent::Cell {
-        round: 0,
-        cells_in_round: 1,
-    });
-    // A size, not a flow: stamped from the store before each report (the
-    // hashing rounds below intern their constraints into private tails, so
-    // the base store's table is the shared one every snapshot serves).
-    stats.terms_interned = tm.len() as u64;
-    match base {
-        CellCount::Exact(0) => {
-            return Ok(finish(CountOutcome::Unsatisfiable, stats, &*ctx, start));
-        }
-        CellCount::Exact(n) => {
-            return Ok(finish(CountOutcome::Exact(n), stats, &*ctx, start));
-        }
-        CellCount::Unknown => {
-            return Ok(finish(CountOutcome::Timeout, stats, &*ctx, start));
-        }
-        CellCount::Saturated => {}
-    }
-
     // Maximum number of hash constraints ever needed: enough to cut the
     // projected space down to (expected) single solutions.
     let total_bits = projection_bits(tm, projection).max(1);
@@ -158,9 +118,10 @@ pub(crate) fn count_pact(
     // oracle (through the factory, on the worker's own thread) and derives
     // an RNG stream from `seed ^ round`, so the scheduler can fan them out
     // across threads without changing the result (see `parallel.rs` for the
-    // determinism argument).  Round 0 runs alone first: its boundary is where
-    // every later round's search starts (the leapfrog), and it is the same
-    // for every thread count because round 0 is.
+    // determinism argument).  Round 0 runs alone first: its search may end at
+    // the unhashed formula (lines 3-4), which makes the count exact, and
+    // otherwise its boundary is where every later round's search starts (the
+    // leapfrog); both are the same for every thread count.
     let workers = config.parallel.effective_threads();
     let tm_snapshot = tm.snapshot();
     let thresh = constants.thresh;
@@ -168,10 +129,12 @@ pub(crate) fn count_pact(
     let ctrl_ref = &ctrl;
     let run_round = |round: u32, start: Option<usize>| {
         if ctrl_ref.interrupted() {
-            return RoundOutput {
-                value: Ok(RoundRecord::interrupted()),
-                stop: true,
-            };
+            let value = Ok(RoundRecord {
+                outcome: RoundOutcome::Timeout,
+                stats: CountStats::default(),
+                boundary: None,
+            });
+            return RoundOutput { value, stop: true };
         }
         let mut round_tm = TermManager::from_snapshot(std::sync::Arc::clone(&tm_snapshot));
         let mut round_ctx = config.oracle_factory.build(config.solver);
@@ -207,10 +170,11 @@ pub(crate) fn count_pact(
                     round,
                     estimate: match &outcome {
                         RoundOutcome::Estimate(value) => Some(*value),
+                        RoundOutcome::Exact(n) => Some(*n as f64),
                         _ => None,
                     },
                 });
-                let stop = matches!(outcome, RoundOutcome::Timeout);
+                let stop = matches!(outcome, RoundOutcome::Exact(_) | RoundOutcome::Timeout);
                 RoundOutput {
                     value: Ok(RoundRecord {
                         outcome,
@@ -237,7 +201,9 @@ pub(crate) fn count_pact(
 
     // Merge in round order; the first stopping round ends the sequence, and
     // a partially counted (timed-out) round still contributes its stats.
+    let mut stats = CountStats::default();
     let mut estimates: Vec<f64> = Vec::new();
+    let mut exact = None;
     for slot in outputs {
         let Some(record) = slot else { break };
         let record = record?;
@@ -250,20 +216,27 @@ pub(crate) fn count_pact(
                 estimates.push(value);
                 stats.iterations += 1;
             }
+            RoundOutcome::Exact(n) => exact = Some(n),
             RoundOutcome::Failed => {}
             RoundOutcome::Timeout => break,
         }
     }
 
-    let outcome = match median(&estimates) {
-        Some(estimate) => CountOutcome::Approximate {
+    let outcome = match (exact, median(&estimates)) {
+        (Some(0), _) => CountOutcome::Unsatisfiable,
+        (Some(n), _) => CountOutcome::Exact(n),
+        (None, Some(estimate)) => CountOutcome::Approximate {
             estimate,
             log2_estimate: estimate.log2(),
         },
-        None => CountOutcome::Timeout,
+        (None, None) => CountOutcome::Timeout,
     };
+    // A size, not a flow: the rounds intern their constraints into private
+    // tails, so the session store's table is the shared one every snapshot
+    // serves.
     stats.terms_interned = tm.len() as u64;
-    Ok(finish(outcome, stats, &*ctx, start))
+    stats.wall_seconds = start.elapsed().as_secs_f64();
+    Ok(CountReport { outcome, stats })
 }
 
 /// One scheduled round's result: what it concluded plus the work it did
@@ -275,21 +248,11 @@ struct RoundRecord {
     boundary: Option<usize>,
 }
 
-impl RoundRecord {
-    /// A round that observed the deadline (or a cancellation request)
-    /// before doing any work.
-    fn interrupted() -> Self {
-        RoundRecord {
-            outcome: RoundOutcome::Timeout,
-            stats: CountStats::default(),
-            boundary: None,
-        }
-    }
-}
-
 #[derive(Debug, PartialEq)]
 enum RoundOutcome {
     Estimate(f64),
+    /// Round 0 found the unhashed cell small: the count is exact.
+    Exact(u64),
     Failed,
     Timeout,
 }
@@ -304,8 +267,8 @@ struct Boundary {
     cell: u64,
 }
 
-/// Draws a round's hash list: enough hashes to cut the projected space down
-/// to (expected) single solutions, plus one.
+/// Draws a round's hash list (enough hashes to cut the projected space down
+/// to expected single solutions, plus one) and the bits one hash cuts.
 fn draw_hashes(
     tm: &mut TermManager,
     projection: &[TermId],
@@ -313,21 +276,21 @@ fn draw_hashes(
     family: HashFamily,
     total_bits: u32,
     rng: &mut StdRng,
-) -> Vec<HashConstraint> {
+) -> (Vec<HashConstraint>, f64) {
     // How many cells a single hash of this family splits into.
     let probe_range = generate(tm, projection, ell, family, rng).range();
     let bits_per_hash = (probe_range as f64).log2();
     let max_hashes = ((total_bits as f64 / bits_per_hash).ceil() as usize + 1).max(1);
-    (0..max_hashes)
-        .map(|_| generate(tm, projection, ell, family, rng))
-        .collect()
+    let hashes = (0..max_hashes).map(|_| generate(tm, projection, ell, family, rng));
+    (hashes.collect(), bits_per_hash)
 }
 
 /// One iteration of the main loop (lines 6-14 of Algorithm 1): generate a
 /// fresh list of hash functions, find the boundary cell with a galloping
 /// search (leapfrogging from `start`, round 0's boundary, when given), refine
 /// the last hash for word-level families, and turn the cell size into an
-/// estimate.  Returns the outcome and the boundary before FixLastHash.
+/// estimate (or, from a small unhashed cell, the exact count).  Returns the
+/// outcome and the boundary before FixLastHash.
 #[allow(clippy::too_many_arguments)]
 fn one_round(
     tm: &mut TermManager,
@@ -343,7 +306,7 @@ fn one_round(
     rng: &mut StdRng,
     stats: &mut CountStats,
 ) -> CountResult<(RoundOutcome, Option<Boundary>)> {
-    let hashes = draw_hashes(tm, projection, ell, config.family, total_bits, rng);
+    let (hashes, bits_per_hash) = draw_hashes(tm, projection, ell, config.family, total_bits, rng);
 
     // Measure |Sol(F ∧ constraints)↓S| with the saturating counter (see
     // `saturating_count_ctl` for `reuse`).
@@ -371,9 +334,24 @@ fn one_round(
         Ok(result?)
     };
 
+    // Round 0 gallops from the first prefix to cut two bits, or from prefix
+    // 0 when the whole projected space is smaller than `thresh`.
+    let start = match start {
+        Some(b0) => Start::Leapfrog(b0),
+        None if round == 0 => Start::Unhashed {
+            first: match 1u64.checked_shl(total_bits) {
+                Some(space) if space < thresh => 0,
+                _ => (2.0 / bits_per_hash).ceil() as usize,
+            },
+        },
+        None => Start::Saturated,
+    };
     let found = match search_boundary(hashes.len(), start, |len, known| {
         measure(ctx, tm, &hashes[..len], Some(known))
     })? {
+        Search::Found(0, models) => {
+            return Ok((RoundOutcome::Exact(models.len() as u64), None));
+        }
         Search::Found(hashes, models) => Boundary {
             hashes,
             cell: models.len() as u64,
@@ -424,7 +402,8 @@ fn one_round(
 
 /// What a boundary search concluded.
 pub(crate) enum Search {
-    /// The boundary prefix length and its cell's models.
+    /// The boundary prefix length (0 only from [`Start::Unhashed`]) and its
+    /// cell's models.
     Found(usize, Vec<Model>),
     /// Even the full hash list leaves a big cell.
     Failed,
@@ -432,9 +411,21 @@ pub(crate) enum Search {
     Timeout,
 }
 
+/// Where a boundary search starts.
+#[derive(Clone, Copy)]
+pub(crate) enum Start {
+    /// Round 0, galloping from prefix `first`: prefix 0, the unhashed
+    /// formula, is measured first (`first` = 0) or when prefix 1 is small.
+    Unhashed { first: usize },
+    /// Prefix 0 is known to saturate.
+    Saturated,
+    /// Prefix 0 is known to saturate; leapfrog from round 0's boundary.
+    Leapfrog(usize),
+}
+
 /// The bracket a boundary search narrows: `lo` is the largest prefix length
-/// known to be saturated (prefix 0 is, by the base check), `hi` the smallest
-/// known to be small, with its cell's models.
+/// known to be saturated (or 0), `hi` the smallest known to be small, with
+/// its cell's models.
 struct Bracket<F> {
     measure: F,
     lo: usize,
@@ -467,22 +458,20 @@ where
     }
 }
 
-/// Finds the boundary among prefixes `1..=max_hashes` of a round's hash list
+/// Finds the boundary among prefixes `0..=max_hashes` of a round's hash list
 /// with `measure(len, known)`: the smallest prefix length whose cell is small.
 ///
-/// With no `start`, it gallops from 1 (`1, 2, 4, …`) to the first small
-/// prefix, then binary-searches below it.  With a `start` (round 0's
-/// boundary), it measures `start` first: when that cell is small it measures
-/// `start − 1`, and the boundary is `start` when that one saturates;
-/// otherwise it gallops upward from `start` (`+1, +2, +4, …`) or
-/// binary-searches below `start − 1`.  Saturation is monotone in the prefix
+/// Without a leapfrog it gallops from `first` (`first, 2·first, …`, or
+/// `0, 1, 2, 4, …` from 0; 1 for [`Start::Saturated`]) to the first small
+/// prefix and binary-searches below it; an unhashed search from `first` ≥ 1
+/// that closes at 1 then measures prefix 0 as well.
+/// With [`Start::Leapfrog`]`(b₀)` it measures `b₀` first: when that cell is
+/// small it measures `b₀ − 1`, and the boundary is `b₀` when that one
+/// saturates; otherwise it gallops upward from `b₀` (`+1, +2, +4, …`) or
+/// binary-searches below `b₀ − 1`.  Saturation is monotone in the prefix
 /// length, so the boundary, and hence the estimate, does not depend on the
 /// start; only the number of cells measured does.
-pub(crate) fn search_boundary<F>(
-    max_hashes: usize,
-    start: Option<usize>,
-    measure: F,
-) -> CountResult<Search>
+pub(crate) fn search_boundary<F>(max_hashes: usize, start: Start, measure: F) -> CountResult<Search>
 where
     F: FnMut(usize, &[Model]) -> CountResult<(CellCount, Vec<Model>)>,
 {
@@ -492,24 +481,29 @@ where
         hi: None,
     };
     let mut gallop_from = 0;
-    if let Some(b0) = start.map(|b| b.clamp(1, max_hashes)) {
-        if !bracket.probe(b0)? {
-            return Ok(Search::Timeout);
-        }
-        if bracket.hi.is_some() {
-            if b0 > 1 && !bracket.probe(b0 - 1)? {
+    let mut step = 1;
+    match start {
+        Start::Unhashed { first } => step = first,
+        Start::Saturated => {}
+        Start::Leapfrog(b0) => {
+            let b0 = b0.clamp(1, max_hashes);
+            if !bracket.probe(b0)? {
                 return Ok(Search::Timeout);
             }
-        } else {
-            gallop_from = b0;
+            if bracket.hi.is_some() {
+                if b0 > 1 && !bracket.probe(b0 - 1)? {
+                    return Ok(Search::Timeout);
+                }
+            } else {
+                gallop_from = b0;
+            }
         }
     }
-    let mut step = 1;
     while bracket.hi.is_none() && bracket.lo < max_hashes {
         if !bracket.probe((gallop_from + step).min(max_hashes))? {
             return Ok(Search::Timeout);
         }
-        step *= 2;
+        step = (2 * step).max(1);
     }
     // Binary search in (lo, hi): lo is saturated, hi is small.
     while let Some((hi, _)) = &bracket.hi {
@@ -518,6 +512,11 @@ where
         }
         let mid = bracket.lo + (hi - bracket.lo) / 2;
         if !bracket.probe(mid)? {
+            return Ok(Search::Timeout);
+        }
+    }
+    if let (Start::Unhashed { first: 1.. }, Some((1, _))) = (start, &bracket.hi) {
+        if !bracket.probe(0)? {
             return Ok(Search::Timeout);
         }
     }
@@ -670,10 +669,10 @@ mod tests {
         };
         let report = pact_count(&mut tm, &[f], &[x], &config).unwrap();
         assert_eq!(report.outcome, CountOutcome::Timeout);
-        // The work done before the deadline is reported, not discarded: the
-        // base cell was opened (and immediately abandoned), and the clock
-        // was read.
-        assert!(report.stats.cells_explored >= 1);
+        // Round 0 sees the deadline before its first cell, so nothing was
+        // measured; the clock was still read.
+        assert_eq!(report.stats.cells_explored, 0);
+        assert_eq!(report.stats.oracle_calls, 0);
         assert!(report.stats.wall_seconds >= 0.0);
     }
 
@@ -806,6 +805,7 @@ mod tests {
                 total_bits,
                 &mut rng,
             )
+            .0
             .len();
             let (outcome, boundary, cells) = round_from(tm, f, x, &config, round, None);
             let boundary = boundary.expect("the instance saturates, so a boundary exists");
@@ -858,5 +858,93 @@ mod tests {
             ..CounterConfig::default()
         };
         assert_start_independent(&tm, x, f, config, 1);
+    }
+
+    #[test]
+    fn a_small_count_is_exact_from_round_zero() {
+        // x < 12 over 7 bits.  Under XOR, round 0 probes 2 hashes, then 1
+        // and 0, each seeded with the models of the cell above it: 12 models
+        // and one UNSAT check per cell, 15 calls, 3 cells.  A word-level hash
+        // cuts two bits alone, so prime probes 1 and 0: 14 calls, 2 cells.
+        // Over 6 bits the whole space is below `thresh`, so round 0 measures
+        // prefix 0 first: 13 calls, 1 cell.
+        for (width, family, calls, cells) in [
+            (7, HashFamily::Xor, 15, 3),
+            (7, HashFamily::Prime, 14, 2),
+            (6, HashFamily::Xor, 13, 1),
+            (6, HashFamily::Prime, 13, 1),
+        ] {
+            let mut tm = TermManager::new();
+            let (x, f) = interval_instance(&mut tm, width, 12);
+            let config = CounterConfig::fast().with_family(family);
+            let report = pact_count(&mut tm, &[f], &[x], &config).unwrap();
+            let case = format!("{family}, {width} bits");
+            assert_eq!(report.outcome, CountOutcome::Exact(12), "{case}");
+            assert_eq!(report.stats.oracle_calls, calls, "{case}");
+            assert_eq!(report.stats.cells_explored, cells, "{case}");
+            assert_eq!(report.stats.iterations, 0, "{case}");
+            assert_eq!(report.stats.final_hash_count, 0, "{case}");
+        }
+    }
+
+    #[test]
+    fn an_unsatisfiable_count_takes_one_check_per_cell() {
+        for (width, cells) in [(7, 3), (6, 1)] {
+            let mut tm = TermManager::new();
+            let (x, f) = interval_instance(&mut tm, width, 0);
+            let report = pact_count(&mut tm, &[f], &[x], &CounterConfig::fast()).unwrap();
+            assert_eq!(report.outcome, CountOutcome::Unsatisfiable, "{width} bits");
+            assert_eq!(report.stats.oracle_calls, cells, "{width} bits");
+            assert_eq!(report.stats.cells_explored, cells, "{width} bits");
+        }
+    }
+
+    /// Runs `search_boundary` over a list of `max_hashes` whose cells are
+    /// small from prefix `boundary` on (prefix 0 included when `boundary`
+    /// is 0); returns the probes in order and the boundary found.
+    fn probes(max_hashes: usize, start: Start, boundary: usize) -> (Vec<usize>, Option<usize>) {
+        let mut probed = Vec::new();
+        let search = search_boundary(max_hashes, start, |len, _| {
+            probed.push(len);
+            Ok(if len < boundary {
+                (CellCount::Saturated, Vec::new())
+            } else {
+                (CellCount::Exact(1), vec![Vec::new()])
+            })
+        })
+        .unwrap();
+        let found = match search {
+            Search::Found(len, _) => Some(len),
+            Search::Failed => None,
+            Search::Timeout => panic!("no probe timed out"),
+        };
+        (probed, found)
+    }
+
+    #[test]
+    fn the_search_probes_in_the_documented_order() {
+        // Round 0 over XOR hashes gallops from two bits, over word-level
+        // hashes from one, and over a space below `thresh` from prefix 0;
+        // CDM's search, with prefix 0 known to saturate, gallops from one.
+        let xor = Start::Unhashed { first: 2 };
+        assert_eq!(probes(12, xor, 7), (vec![2, 4, 8, 6, 7], Some(7)));
+        let word = Start::Unhashed { first: 1 };
+        assert_eq!(probes(12, word, 7), (vec![1, 2, 4, 8, 6, 7], Some(7)));
+        let small = Start::Unhashed { first: 0 };
+        assert_eq!(probes(12, small, 0), (vec![0], Some(0)));
+        assert_eq!(probes(12, small, 3), (vec![0, 1, 2, 4, 3], Some(3)));
+        assert_eq!(
+            probes(12, Start::Saturated, 7),
+            (vec![1, 2, 4, 8, 6, 7], Some(7))
+        );
+        // From `first` ≥ 1, prefix 0 is measured only when the bracket
+        // closes at prefix 1.
+        assert_eq!(probes(12, xor, 2), (vec![2, 1], Some(2)));
+        assert_eq!(probes(12, xor, 1), (vec![2, 1, 0], Some(1)));
+        assert_eq!(probes(12, xor, 0), (vec![2, 1, 0], Some(0)));
+        assert_eq!(probes(12, word, 1), (vec![1, 0], Some(1)));
+        assert_eq!(probes(12, Start::Saturated, 1), (vec![1], Some(1)));
+        assert_eq!(probes(12, Start::Leapfrog(1), 1), (vec![1], Some(1)));
+        assert_eq!(probes(12, xor, 13), (vec![2, 4, 8, 12], None));
     }
 }

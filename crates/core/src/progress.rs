@@ -100,14 +100,15 @@ pub enum ProgressEvent {
     },
     /// A cell's size was measured (one saturating enumeration finished).
     Cell {
-        /// The outer round the cell belongs to (0 for the base exactness
-        /// check and for the exact enumerator).
+        /// The outer round the cell belongs to (0 for the unhashed formula
+        /// and for the exact enumerator).
         round: u32,
-        /// Cells measured so far within that round.
+        /// Cells measured so far within that round, counting from 1.
         cells_in_round: u64,
     },
     /// An outer round finished.  `estimate` is `None` when the round failed
-    /// (empty boundary cell) or ran out of budget.
+    /// (empty boundary cell) or ran out of budget; an exact count's round 0
+    /// carries the exact count (the exact enumerator emits no `Round`).
     Round {
         /// The round index.
         round: u32,

@@ -786,7 +786,7 @@ mod tests {
             .build()
             .unwrap();
         let report = session.count().unwrap();
-        // Every measured cell (including the base check) fired an event, and
+        // Every measured cell (the unhashed one too) fired an event, and
         // every scheduled round reported in.
         assert_eq!(cells.load(Ordering::Relaxed), report.stats.cells_explored);
         assert_eq!(rounds.load(Ordering::Relaxed), 3);

@@ -13,13 +13,22 @@
 //!
 //! The suite also pins the fallback (a bounded-integer projection takes
 //! the term path), frame scoping (a block dies with its frame and survives
-//! an inner `pop` and a compaction), and that a count interns no term per
-//! enumerated model.
+//! an inner `pop` and a compaction), and, through a logging wrapper, that a
+//! count interns no term per enumerated model and measures the unhashed
+//! formula only when round 0 needs it.
 
-use pact::{BackendSpec, CountReport, CounterConfig, HashFamily, OracleFactory, Session};
+use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+
+use pact::{
+    BackendSpec, CountOutcome, CountReport, CounterConfig, HashFamily, OracleFactory,
+    ProgressEvent, Session,
+};
 use pact_ir::{BvValue, Sort, TermId, TermManager, Value};
 use pact_solver::{
-    block_model_by_terms, IncrementalContext, Oracle, OracleStats, SolverConfig, SolverResult,
+    block_model_by_terms, CubeStats, IncrementalContext, InterruptFlag, Oracle, OracleStats,
+    PolicyStats, PortfolioStats, SolverConfig, SolverResult,
 };
 
 /// Every backend the workspace ships, with small worker counts.
@@ -83,6 +92,126 @@ impl Oracle for TermsOnly {
     fn stats(&self) -> OracleStats {
         self.0.stats()
     }
+}
+
+/// What a [`Logged`] oracle saw at one `check`.
+#[derive(Clone, Copy, Debug)]
+struct Check {
+    /// Serial number of the frame the check ran in.
+    frame: u64,
+    /// XOR rows asserted in that frame: a `pact_xor` cell's hash constraints.
+    rows: usize,
+    /// Terms in the store the check was handed.
+    terms: usize,
+}
+
+/// What every oracle of one factory saw.
+#[derive(Default)]
+struct Log {
+    frames: AtomicU64,
+    /// Terms asserted inside a pushed frame: in a `pact_xor` count through
+    /// [`TermsOnly`], its term-path blocks.
+    framed_terms: AtomicU64,
+    checks: Mutex<Vec<Check>>,
+}
+
+/// Forwards every method, `block_model` included, and logs each check.
+struct Logged {
+    inner: Box<dyn Oracle>,
+    /// The open frames: serial number and XOR rows asserted.
+    open: Vec<(u64, usize)>,
+    log: Arc<Log>,
+}
+
+impl Oracle for Logged {
+    fn push(&mut self) {
+        let serial = self.log.frames.fetch_add(1, Ordering::Relaxed);
+        self.open.push((serial, 0));
+        self.inner.push();
+    }
+
+    fn pop(&mut self) {
+        self.open.pop();
+        self.inner.pop();
+    }
+
+    fn assert_term(&mut self, t: TermId) {
+        if !self.open.is_empty() {
+            self.log.framed_terms.fetch_add(1, Ordering::Relaxed);
+        }
+        self.inner.assert_term(t);
+    }
+
+    fn assert_xor_bits(&mut self, bits: Vec<(TermId, u32)>, rhs: bool) {
+        if let Some((_, rows)) = self.open.last_mut() {
+            *rows += 1;
+        }
+        self.inner.assert_xor_bits(bits, rhs);
+    }
+
+    fn track_var(&mut self, var: TermId) {
+        self.inner.track_var(var);
+    }
+
+    fn check(&mut self, tm: &mut TermManager) -> pact_solver::Result<SolverResult> {
+        let (frame, rows) = *self.open.last().expect("a count checks inside a frame");
+        let terms = tm.len();
+        let check = Check { frame, rows, terms };
+        self.log.checks.lock().unwrap().push(check);
+        self.inner.check(tm)
+    }
+
+    fn model_value(&self, tm: &TermManager, var: TermId) -> Option<Value> {
+        self.inner.model_value(tm, var)
+    }
+
+    fn projected_model(&self, tm: &TermManager, projection: &[TermId]) -> Option<Vec<BvValue>> {
+        self.inner.projected_model(tm, projection)
+    }
+
+    fn block_model(&mut self, tm: &mut TermManager, projection: &[TermId], model: &[BvValue]) {
+        self.inner.block_model(tm, projection, model);
+    }
+
+    fn stats(&self) -> OracleStats {
+        self.inner.stats()
+    }
+
+    fn set_interrupt(&mut self, flag: InterruptFlag) {
+        self.inner.set_interrupt(flag);
+    }
+
+    fn portfolio(&self) -> Option<PortfolioStats> {
+        self.inner.portfolio()
+    }
+
+    fn cube(&self) -> Option<CubeStats> {
+        self.inner.cube()
+    }
+
+    fn policy(&self) -> Option<PolicyStats> {
+        self.inner.policy()
+    }
+}
+
+/// A factory of `spec` backends inside [`Logged`] (and inside [`TermsOnly`]
+/// as well with `terms_only`), and the log its oracles share.
+fn logged(spec: BackendSpec, terms_only: bool) -> (OracleFactory, Arc<Log>) {
+    let log = Arc::new(Log::default());
+    let shared = Arc::clone(&log);
+    let factory = OracleFactory::new(move |config: SolverConfig| {
+        let logged = Box::new(Logged {
+            inner: OracleFactory::from_spec(spec).build(config),
+            open: Vec::new(),
+            log: Arc::clone(&shared),
+        });
+        if terms_only {
+            Box::new(TermsOnly(logged))
+        } else {
+            logged
+        }
+    });
+    (factory, log)
 }
 
 /// How the enumeration blocks each model.
@@ -422,60 +551,88 @@ fn blocks_survive_compaction() {
     assert_eq!(values, (1..8).collect::<Vec<_>>(), "x = 0 stays blocked");
 }
 
-/// Counts `x <ᵤ bound` over 10 bits with `pact_xor`, returning the report
-/// and how many terms the count interned.
-fn count_below(bound: u128, factory: OracleFactory) -> (CountReport, u64) {
+/// Counts `x <ᵤ bound` over `width` bits with `pact_xor` in `iterations`
+/// rounds from `seed`, returning the report, how many terms the count
+/// interned into the session's store and how many models it found.
+fn count_below(
+    width: u32,
+    bound: u128,
+    seed: u64,
+    iterations: u32,
+    factory: OracleFactory,
+) -> (CountReport, u64, u64) {
     let mut tm = TermManager::new();
-    let x = tm.mk_var("x", Sort::BitVec(10));
-    let c = tm.mk_bv_const(bound, 10);
+    let x = tm.mk_var("x", Sort::BitVec(width));
+    let c = tm.mk_bv_const(bound, width);
     let f = tm.mk_bv_ult(x, c).unwrap();
     let before = tm.len() as u64;
     let config = CounterConfig {
-        iterations_override: Some(3),
-        seed: 11,
+        iterations_override: Some(iterations),
+        seed,
         family: HashFamily::Xor,
         ..CounterConfig::default()
     };
+    let models = Arc::new(AtomicU64::new(0));
+    let found = Arc::clone(&models);
     let mut session = Session::builder(tm)
         .assert(f)
         .project(x)
         .config(config)
         .oracle_factory(factory)
+        .on_progress(move |event| {
+            if let ProgressEvent::Model { .. } = event {
+                found.fetch_add(1, Ordering::Relaxed);
+            }
+        })
         .build()
         .unwrap();
     let report = session.count().unwrap();
     let grown = report.stats.terms_interned - before;
-    (report, grown)
+    (report, grown, models.load(Ordering::Relaxed))
 }
 
+/// Every cell is measured in a round's private term tail, over the
+/// session's store, so the store a check is handed must not grow with the
+/// models a count enumerates.
 #[test]
 fn a_count_interns_no_term_per_enumerated_model() {
     for spec in [BackendSpec::Rebuild, BackendSpec::Incremental] {
-        let count = |bound| count_below(bound, OracleFactory::from_spec(spec));
-        // Exact counts (one cell, no hashing) of 5 and 60 models, then a
-        // hashed count whose cells hold far more models in total.
-        let (small, small_grown) = count(5);
-        let (exact, exact_grown) = count(60);
-        let (hashed, hashed_grown) = count(900);
+        let count = |bound| {
+            let (factory, log) = logged(spec, false);
+            let (report, grown, _) = count_below(10, bound, 11, 3, factory);
+            let checks = log.checks.lock().unwrap();
+            let largest = checks.iter().map(|check| check.terms).max().unwrap();
+            (report, grown, largest)
+        };
+        // Exact counts of 5 and 60 models (round 0 ends at the unhashed
+        // cell), then a hashed count whose cells hold far more models in
+        // total.
+        let (small, small_grown, small_store) = count(5);
+        let (exact, exact_grown, exact_store) = count(60);
+        let (hashed, hashed_grown, hashed_store) = count(900);
         assert_eq!(exact.stats.oracle_calls, small.stats.oracle_calls + 55);
         assert!(hashed.stats.oracle_calls > exact.stats.oracle_calls + 100);
         assert_eq!(small_grown, exact_grown, "{spec:?}");
         assert_eq!(small_grown, hashed_grown, "{spec:?}");
+        assert_eq!(small_store, exact_store, "{spec:?}");
+        assert_eq!(small_store, hashed_store, "{spec:?}");
     }
 }
 
 /// A whole `pact_xor` count through a wrapper that does not forward
 /// `block_model` (so every block takes the term path) answers and searches
 /// exactly like the direct path: XOR hashing builds no terms, so nothing
-/// else about the formula changes.
+/// else about the formula changes.  Every cell is measured in a round's
+/// private term tail, so neither path grows the session's store; the terms
+/// asserted inside a frame, the term-path blocks, show that the term path
+/// ran.
 #[test]
 fn a_count_searches_identically_on_both_paths() {
     for spec in [BackendSpec::Rebuild, BackendSpec::Incremental] {
-        let terms_only = OracleFactory::new(move |config: SolverConfig| {
-            Box::new(TermsOnly(OracleFactory::from_spec(spec).build(config)))
-        });
-        let (direct, direct_grown) = count_below(900, OracleFactory::from_spec(spec));
-        let (terms, terms_grown) = count_below(900, terms_only);
+        let (terms_only, log) = logged(spec, true);
+        let (direct, direct_grown, direct_models) =
+            count_below(10, 900, 11, 3, OracleFactory::from_spec(spec));
+        let (terms, terms_grown, terms_models) = count_below(10, 900, 11, 3, terms_only);
         assert_eq!(direct.outcome, terms.outcome, "{spec:?}");
         assert_eq!(direct.stats.oracle_calls, terms.stats.oracle_calls);
         assert_eq!(direct.stats.cells_explored, terms.stats.cells_explored);
@@ -484,6 +641,51 @@ fn a_count_searches_identically_on_both_paths() {
             direct.stats.oracle.conflicts, terms.stats.oracle.conflicts,
             "{spec:?}"
         );
-        assert!(terms_grown > direct_grown + 100, "{spec:?}");
+        assert_eq!(direct_models, terms_models, "{spec:?}");
+        assert_eq!(direct_grown, terms_grown, "{spec:?}");
+        // Every found model is blocked but a saturating cell's last one; a
+        // seeded cell blocks its known models again.
+        let blocked = terms_models - terms.stats.cells_explored;
+        let term_blocks = log.framed_terms.load(Ordering::Relaxed);
+        assert!(
+            term_blocks >= blocked,
+            "{spec:?}: {term_blocks} term-path blocks for at least {blocked} blocked models"
+        );
     }
+}
+
+/// A `pact_xor` count of `x <ᵤ bound` over `width` bits (5 rounds from
+/// `seed`): its estimate, and the frames it checked with no hash row.
+fn unhashed_cells(width: u32, bound: u128, seed: u64) -> (f64, BTreeSet<u64>, u32) {
+    let (factory, log) = logged(BackendSpec::Incremental, false);
+    let (report, _, _) = count_below(width, bound, seed, 5, factory);
+    let checks = log.checks.lock().unwrap();
+    assert_eq!(checks.len() as u64, report.stats.oracle_calls);
+    let cells: BTreeSet<u64> = checks.iter().map(|check| check.frame).collect();
+    assert_eq!(cells.len() as u64, report.stats.cells_explored);
+    let unhashed = checks
+        .iter()
+        .filter(|check| check.rows == 0)
+        .map(|check| check.frame)
+        .collect();
+    let CountOutcome::Approximate { estimate, .. } = report.outcome else {
+        panic!("expected an approximate count, got {:?}", report.outcome);
+    };
+    (estimate, unhashed, report.stats.final_hash_count)
+}
+
+/// Round 0 measures the unhashed formula only when its bracket closes at
+/// one hash; the later rounds know it saturates.  The estimates are the
+/// ones pinned while the unhashed cell was measured apart, first.
+#[test]
+fn the_unhashed_cell_is_measured_only_when_round_zero_needs_it() {
+    // 10-bit x < 900 needs several XOR hashes.
+    let (estimate, unhashed, _) = unhashed_cells(10, 900, 21);
+    assert_eq!(estimate, 896.0);
+    assert!(unhashed.is_empty(), "{unhashed:?}");
+    // 8-bit x < 100: one XOR hash leaves a small cell.
+    let (estimate, unhashed, final_hashes) = unhashed_cells(8, 100, 3);
+    assert_eq!(estimate, 100.0);
+    assert_eq!(unhashed.len(), 1, "{unhashed:?}");
+    assert_eq!(final_hashes, 1);
 }

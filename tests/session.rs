@@ -300,7 +300,7 @@ fn custom_oracle_backend_carries_the_whole_count() {
     let report = session.count().unwrap();
     assert!(matches!(report.outcome, CountOutcome::Approximate { .. }));
 
-    // The engine built one base oracle plus one per scheduled round, and
+    // The engine built one oracle per scheduled round, and
     // every query went through the trait.
     assert!(ops.built.load(Ordering::Relaxed) >= 2);
     assert_eq!(
@@ -420,4 +420,85 @@ fn progress_events_flow_from_parallel_rounds() {
     // Every scheduled round reported in (speculative rounds may add more;
     // never fewer than the merged iteration count).
     assert!(events.load(Ordering::Relaxed) >= u64::from(report.stats.iterations));
+}
+
+/// The cell and round events of one single-threaded count, in order.
+fn count_events(bound: u128, at_least: bool) -> (pact::CountReport, Vec<ProgressEvent>) {
+    let events = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let sink = Arc::clone(&events);
+    let mut tm = TermManager::new();
+    let x = tm.mk_var("x", Sort::BitVec(8));
+    let c = tm.mk_bv_const(bound, 8);
+    let f = if at_least {
+        tm.mk_bv_ule(c, x).unwrap()
+    } else {
+        tm.mk_bv_ult(x, c).unwrap()
+    };
+    let mut session = Session::builder(tm)
+        .assert(f)
+        .project(x)
+        .seed(7)
+        .iterations(3)
+        .on_progress(move |event| {
+            if !matches!(event, ProgressEvent::Model { .. }) {
+                sink.lock().unwrap().push(event.clone());
+            }
+        })
+        .build()
+        .unwrap();
+    let report = session.count().unwrap();
+    let events = events.lock().unwrap().clone();
+    (report, events)
+}
+
+#[test]
+fn every_round_numbers_its_cells_from_one() {
+    // An approximate count (x ≥ 16: 240 models), an exact one (x < 12) and
+    // an unsatisfiable one (x < 0).
+    for (bound, at_least) in [(16, true), (12, false), (0, false)] {
+        let (report, events) = count_events(bound, at_least);
+        let mut cells: Vec<Vec<u64>> = Vec::new();
+        let mut rounds = Vec::new();
+        for event in &events {
+            match *event {
+                ProgressEvent::Cell {
+                    round,
+                    cells_in_round,
+                } => {
+                    let round = round as usize;
+                    if cells.len() <= round {
+                        cells.resize(round + 1, Vec::new());
+                    }
+                    cells[round].push(cells_in_round);
+                }
+                ProgressEvent::Round { round, estimate } => rounds.push((round, estimate)),
+                _ => {}
+            }
+        }
+        for (round, numbers) in cells.iter().enumerate() {
+            let expected: Vec<u64> = (1..=numbers.len() as u64).collect();
+            assert_eq!(numbers, &expected, "bound {bound}, round {round}");
+        }
+        let total: usize = cells.iter().map(Vec::len).sum();
+        assert_eq!(total as u64, report.stats.cells_explored, "bound {bound}");
+        // Every round that ran reports in once, in order; an exact count
+        // ends in round 0, whose estimate is the exact count.
+        match report.outcome {
+            CountOutcome::Approximate { .. } => {
+                let indices: Vec<u32> = rounds.iter().map(|&(round, _)| round).collect();
+                assert_eq!(indices, vec![0, 1, 2]);
+                let estimates = rounds.iter().filter(|(_, e)| e.is_some()).count();
+                assert_eq!(estimates as u32, report.stats.iterations);
+            }
+            CountOutcome::Exact(n) => {
+                assert_eq!(n, 12);
+                assert_eq!(rounds, vec![(0, Some(12.0))]);
+            }
+            CountOutcome::Unsatisfiable => {
+                assert_eq!(bound, 0);
+                assert_eq!(rounds, vec![(0, Some(0.0))]);
+            }
+            other => panic!("bound {bound}: unexpected outcome {other:?}"),
+        }
+    }
 }
