@@ -372,8 +372,9 @@ pub const RECORD_SCHEMA_VERSION: u32 = 9;
 /// Schema v5 adds the persistent-runtime pair: `pool_reuses` (batches the
 /// parallel backends' long-lived worker pools served instead of spawning
 /// fresh threads; 0 for single-engine backends) and `compactions`
-/// (frame-garbage re-encodes the activation-literal oracles performed —
-/// their `rebuilds` stays 0).
+/// (re-encodes the default-mode activation-literal oracles performed after
+/// popping a frame whose terms allocated SAT variables — their `rebuilds`
+/// stays 0).
 ///
 /// Schema v6 adds the service pair: `shard` (which `pact-service` shard
 /// served the run; `-1` for direct, non-service runs) and `queue_seconds`

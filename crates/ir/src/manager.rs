@@ -1712,14 +1712,14 @@ mod tests {
         let x = tm.mk_var("x", Sort::BitVec(4));
         let snap = tm.snapshot();
 
-        let build = |mut m: TermManager| {
+        fn build(mut m: TermManager, x: TermId) -> (TermId, TermId, TermId, usize) {
             let c = m.mk_bv_const(5, 4);
             let eq = m.mk_eq(x, c);
             let not = m.mk_not(eq);
             (c, eq, not, m.len())
-        };
-        let a = build(TermManager::from_snapshot(Arc::clone(&snap)));
-        let b = build(TermManager::from_snapshot(snap));
+        }
+        let a = build(TermManager::from_snapshot(Arc::clone(&snap)), x);
+        let b = build(TermManager::from_snapshot(snap), x);
         assert_eq!(a, b, "identical construction yields identical ids");
     }
 

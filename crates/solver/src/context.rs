@@ -184,18 +184,19 @@ pub struct OracleStats {
     /// races and cube conquests answered by long-lived threads instead of a
     /// fresh spawn/join cycle).  0 for the single-engine backends.
     pub pool_reuses: u64,
-    /// Number of frame-garbage compactions: an incremental engine re-encoded
-    /// its live frames into a fresh solver because retired activation-literal
-    /// frames had accumulated past the dead-fraction threshold.  Unlike
-    /// `rebuilds` this is *elective* maintenance — the default mode never
-    /// rebuilds on `pop`.
+    /// Number of compactions: a default-mode incremental engine re-encoded
+    /// its live frames into a fresh solver because a popped frame's terms
+    /// had allocated SAT variables (gates, fresh variable bits) that would
+    /// otherwise stay in every later check.  Frames of XOR rows and blocked
+    /// models never cause one.  Rebuild mode's re-encodes are counted as
+    /// `rebuilds` instead.
     pub compactions: u64,
-    /// Guarded assertions (clauses and XOR rows) of retired frames reclaimed
-    /// by compactions.
+    /// Encoded assertions (terms, XOR rows and blocked models) of retired
+    /// frames shed by compactions.
     pub dead_clauses_reclaimed: u64,
     /// Preprocessing results served from a term-id-keyed cache instead of
-    /// being recomputed: per-context memoization on re-encodes (rebuild and
-    /// compaction journal replays) plus, for the parallel
+    /// being recomputed: per-context memoization on re-encodes (rebuilds
+    /// and compactions replay the live frames) plus, for the parallel
     /// backends, warm-cache hits when a hash-consed assertion recurs across
     /// checks.
     pub preprocess_cache_hits: u64,

@@ -19,21 +19,24 @@
 //! exactly the hash constraint; after `pop`, the free slack absorbs any
 //! parity and the row is inert.
 //!
-//! Retired frames leave permanently satisfied clauses behind, so a very
-//! long-lived context grows monotonically.  The context bounds that growth
-//! with *frame-garbage compaction*: every encoded assertion is journalled by
-//! its frame's stable id, `pop` counts the journal entries it retires, and
-//! once the retired count crosses a threshold (and outweighs the live
-//! journal) the next `check` re-encodes only the live frames into a fresh
-//! solver, counted by [`OracleStats::compactions`] /
-//! [`OracleStats::dead_clauses_reclaimed`].
+//! A retired frame's clauses are satisfied and its XOR rows inert, so they
+//! cost little.  What does cost is the SAT variables its terms allocated —
+//! the gates of a word-level hash, the bits of a fresh variable — which the
+//! solver keeps deciding in every later check.  So each frame keeps its own
+//! assertions (the base level is frame 0, so the live stack is the replay
+//! source) and notes whether encoding one of its terms *grew the encoding*
+//! by allocating SAT variables.  Popping such a frame makes the next
+//! `check` re-encode the live frames into a fresh solver, counted by
+//! [`OracleStats::compactions`] / [`OracleStats::dead_clauses_reclaimed`].
+//! Popping any other frame — XOR rows, blocked models, terms whose
+//! encoding already existed — never re-encodes.
 //!
 //! # Rebuild mode
 //!
 //! [`IncrementalContext::rebuilding`] builds the same context in *rebuild
 //! mode*, the `rebuild` backend: every `pop` that retires encoded assertions
-//! arms the compaction for the next `check`, with no threshold and no
-//! live/dead ratio test.  That check re-encodes the live frames into a fresh
+//! arms the re-encode for the next `check`, whether or not the frame grew
+//! the encoding.  That check re-encodes the live frames into a fresh
 //! solver and so throws away the learnt clauses and branching activities —
 //! the work profile of an oracle that rebuilds its encoder on every `pop`.
 //! [`OracleStats::rebuilds`] counts the `pop`s that arm such a re-encode
@@ -78,22 +81,24 @@ use crate::model;
 use crate::oracle::{block_model_by_terms, blocking_pairs};
 use crate::portfolio::WorkerProfile;
 
-/// One live assertion-stack frame.
-#[derive(Debug)]
+/// One level of the assertion stack: the permanent base level (frame 0) or
+/// a frame opened by `push`.
+#[derive(Debug, Default)]
 struct Frame {
-    /// Stable identity of the frame (pending and journal entries are keyed
-    /// by it, so a compaction can re-allocate activation literals without
-    /// retagging them).
-    id: u64,
-    /// The frame's activation literal (assumed by `check`, retired by `pop`).
-    activation: Lit,
+    /// The frame's activation literal (assumed by `check`, retired by
+    /// `pop`); `None` for the base level, whose assertions are unguarded.
+    activation: Option<Lit>,
+    /// The frame's assertions in assertion order: the replay source of a
+    /// re-encode.
+    assertions: Vec<Assertion>,
+    /// Length of the prefix of `assertions` already in the solver.
+    encoded: usize,
     /// Engine ids of the XOR rows this frame asserted, retired with it.
     xor_rows: Vec<usize>,
+    /// Encoding one of the frame's term assertions allocated SAT variables,
+    /// which outlive the frame.
+    grew: bool,
 }
-
-/// Default minimum number of retired guarded assertions before a compaction
-/// is considered (see [`IncrementalContext::set_compaction_threshold`]).
-const DEFAULT_COMPACTION_MIN_DEAD: u64 = 64;
 
 /// The single-engine SMT oracle (see the module docs).
 ///
@@ -101,11 +106,10 @@ const DEFAULT_COMPACTION_MIN_DEAD: u64 = 64;
 /// Assertions inside a frame are guarded by the frame's activation literal;
 /// `check` assumes every live activation literal and `pop` retires the
 /// frame.  Retired frames leave their (permanently satisfied) clauses and
-/// neutralised XOR rows in the solver, so frame-garbage compaction
-/// re-encodes the live frames into a fresh solver once enough retired
-/// clauses accumulate (see [`IncrementalContext::set_compaction_threshold`])
-/// — or, in rebuild mode ([`IncrementalContext::rebuilding`]), after every
-/// `pop` that retired encoded assertions.
+/// neutralised XOR rows in the solver; the live frames are re-encoded into
+/// a fresh solver after a `pop` of a frame that grew the encoding — or, in
+/// rebuild mode ([`IncrementalContext::rebuilding`]), after every `pop`
+/// that retired encoded assertions.
 #[derive(Debug)]
 pub struct IncrementalContext {
     config: SolverConfig,
@@ -113,31 +117,24 @@ pub struct IncrementalContext {
     /// Variables whose bits must always exist (projection variables).
     tracked_vars: Vec<TermId>,
     encoder: Encoder,
-    /// SAT-level diversification the encoder was built with; a compaction's
+    /// SAT-level diversification the encoder was built with; a re-encode's
     /// replacement encoder must search identically, so the options are kept.
     sat_options: SatOptions,
     /// Interrupt flags watched by the solver; re-installed on the fresh
-    /// encoder after a compaction so cancellation survives it.
+    /// encoder after a re-encode so cancellation survives it.
     interrupts: Vec<InterruptFlag>,
-    /// Live frames, outermost first.
+    /// Live frames, the base level first; never empty.  In order, their
+    /// assertions are the encode order, and each frame's encoded prefix is
+    /// in the solver.
     frames: Vec<Frame>,
-    /// Next value of [`Frame::id`]; never reused.
-    next_frame_id: u64,
-    /// Assertions awaiting encoding at the next `check`, keyed by the id of
-    /// the frame they belong to (`None` for the permanent base level).
-    pending: Vec<(Option<u64>, Assertion)>,
-    /// Journal of every assertion already in the solver, keyed by frame id:
-    /// the replay source for compaction.  `pop` drops a dying frame's
-    /// entries and adds them to `dead_entries`.
-    encoded: Vec<(Option<u64>, Assertion)>,
-    /// Journal entries retired by `pop` since the last compaction.
+    /// Encoded assertions retired by `pop` since the last re-encode.
     dead_entries: u64,
-    /// Minimum `dead_entries` before a compaction is considered.
-    compaction_min_dead: u64,
-    /// Conflicts accumulated by encoders that compaction discarded.
+    /// A `pop` armed a re-encode of the live frames at the next `check`.
+    reencode: bool,
+    /// Conflicts accumulated by encoders that a re-encode discarded.
     retired_conflicts: u64,
-    /// Rebuild mode: any retired journal entry arms the compaction, and the
-    /// `pop` that arms it counts a rebuild.
+    /// Rebuild mode: any `pop` that retires encoded assertions arms the
+    /// re-encode, and the `pop` that arms it counts a rebuild.
     rebuild: bool,
     /// Simplex witness (indexed by LRA variable) from the last SAT check.
     real_model_values: Vec<Rational>,
@@ -145,8 +142,8 @@ pub struct IncrementalContext {
     /// `check` solves under.
     assumptions: Vec<Lit>,
     /// Term-id-keyed preprocessing memo; never invalidated (term ids are
-    /// immutable for the manager lineage), so compaction journal replays
-    /// re-encode from it instead of re-running preprocessing.
+    /// immutable for the manager lineage), so a re-encode replays the live
+    /// frames from it instead of re-running preprocessing.
     preprocess_cache: PreprocessCache,
 }
 
@@ -159,12 +156,9 @@ impl Default for IncrementalContext {
             encoder: Encoder::default(),
             sat_options: SatOptions::default(),
             interrupts: Vec::new(),
-            frames: Vec::new(),
-            next_frame_id: 0,
-            pending: Vec::new(),
-            encoded: Vec::new(),
+            frames: vec![Frame::default()],
             dead_entries: 0,
-            compaction_min_dead: DEFAULT_COMPACTION_MIN_DEAD,
+            reencode: false,
             retired_conflicts: 0,
             rebuild: false,
             real_model_values: Vec::new(),
@@ -213,7 +207,7 @@ impl IncrementalContext {
     }
 
     /// Replaces the interrupt flags watched by the underlying SAT solver;
-    /// an empty list removes them.  The flags are retained so a compaction
+    /// an empty list removes them.  The flags are retained so a re-encode
     /// can re-install them on its fresh encoder.
     pub(crate) fn set_interrupt_flags(&mut self, flags: Vec<InterruptFlag>) {
         self.interrupts = flags.clone();
@@ -221,22 +215,12 @@ impl IncrementalContext {
     }
 
     /// Cumulative statistics.  `rebuilds` counts rebuild mode's arming
-    /// `pop`s and is 0 in the default mode, whose compactions are counted
-    /// separately.
+    /// `pop`s and is 0 in the default mode, whose re-encodes are counted
+    /// as `compactions`.
     pub fn stats(&self) -> OracleStats {
         let mut stats = self.stats;
         stats.conflicts = self.retired_conflicts + self.encoder.sat_stats().conflicts;
         stats
-    }
-
-    /// Sets the minimum number of retired guarded assertions that arms
-    /// frame-garbage compaction (default 64).  Compaction triggers at the
-    /// start of a `check` once at least `min_dead` journal entries have been
-    /// retired by `pop` *and* the dead entries outnumber the live journal —
-    /// the re-encode then provably at least halves the clause database.
-    /// Rebuild mode ignores the threshold.
-    pub fn set_compaction_threshold(&mut self, min_dead: usize) {
-        self.compaction_min_dead = min_dead as u64;
     }
 
     /// Changes the resource limits for subsequent checks.
@@ -248,44 +232,43 @@ impl IncrementalContext {
     /// literal.
     pub fn push(&mut self) {
         let activation = self.encoder.sat().new_var().positive();
-        let id = self.next_frame_id;
-        self.next_frame_id += 1;
         self.frames.push(Frame {
-            id,
-            activation,
-            xor_rows: Vec::new(),
+            activation: Some(activation),
+            ..Frame::default()
         });
     }
 
     /// Pops the most recent frame by retiring its activation literal: the
     /// unit `¬a` permanently satisfies every clause the frame guarded and
     /// frees the slack bit of every guarded XOR row.  The encoder — and all
-    /// learnt clauses — survive.
+    /// learnt clauses — survive, unless the frame grew the encoding (or, in
+    /// rebuild mode, retired anything encoded): then the next `check`
+    /// re-encodes the live frames into a fresh solver.
     ///
     /// # Panics
     ///
     /// Panics if there is no frame to pop (see the [`Oracle`](crate::Oracle)
     /// contract).
     pub fn pop(&mut self) {
-        let frame = self.frames.pop().expect("pop without matching push");
-        // Un-encoded assertions of the dying frame will never be needed.
-        self.pending.retain(|(guard, _)| *guard != Some(frame.id));
-        // Already-encoded assertions leave permanently satisfied garbage in
-        // the solver: drop them from the replay journal and count them, so
-        // compaction knows how much a re-encode would reclaim.
-        let before = self.encoded.len();
-        self.encoded.retain(|(guard, _)| *guard != Some(frame.id));
-        let retired = (before - self.encoded.len()) as u64;
+        assert!(self.frames.len() > 1, "pop without matching push");
+        let frame = self.frames.pop().expect("a frame above the base level");
+        let arms = if self.rebuild {
+            frame.encoded > 0
+        } else {
+            frame.grew
+        };
         // Rebuild mode counts the rebuild where the first garbage arms it:
         // one re-encode at the next check serves every pop until then.
-        if self.rebuild && retired > 0 && self.dead_entries == 0 {
+        if self.rebuild && arms && !self.reencode {
             self.stats.rebuilds += 1;
         }
-        self.dead_entries += retired;
+        self.reencode |= arms;
+        self.dead_entries += frame.encoded as u64;
         // `a` only ever occurs negatively in guard clauses, so the unit can
         // never conflict; `add_clause` returning `false` would mean the
         // formula was already unsat at level zero.
-        self.encoder.sat().add_clause(&[!frame.activation]);
+        let activation = frame.activation.expect("pushed frames have one");
+        self.encoder.sat().add_clause(&[!activation]);
         // Retire the frame's XOR rows outright: their slack bits already
         // neutralise them logically, but deactivation also stops the engine
         // spending propagation work on them in every later solve.
@@ -294,73 +277,56 @@ impl IncrementalContext {
         }
     }
 
-    /// The innermost live frame's id, if any.
-    fn current_guard(&self) -> Option<u64> {
-        self.frames.last().map(|f| f.id)
-    }
-
-    /// Compacts when enough frame garbage has accumulated: at least the
-    /// configured minimum, and more dead journal entries than live ones.
-    /// In rebuild mode any garbage at all is enough.
-    fn maybe_compact(&mut self) {
-        let armed = if self.rebuild {
-            self.dead_entries > 0
-        } else {
-            self.dead_entries >= self.compaction_min_dead
-                && self.dead_entries >= self.encoded.len() as u64
-        };
-        if armed {
-            self.compact();
-        }
-    }
-
-    /// Replaces the encoder with a fresh one and queues every live journal
-    /// entry for re-encoding, shedding all clauses owned by retired frames.
-    /// Learnt clauses are lost too — that is the price of the reclaim, which
-    /// is why compaction only fires when garbage dominates (outside rebuild
-    /// mode, whose point is to pay that price on every `pop`).
-    fn compact(&mut self) {
+    /// Replaces the encoder with a fresh one and marks every live frame
+    /// unencoded, shedding all clauses and variables of retired frames.
+    /// Learnt clauses are lost too, which is why the default mode re-encodes
+    /// only after a frame that left variables behind.
+    fn reencode_live_frames(&mut self) {
         // Bank the dying encoder's conflict count so `stats()` stays
         // cumulative across the swap.
         self.retired_conflicts += self.encoder.sat_stats().conflicts;
         self.encoder = Encoder::with_options(self.sat_options);
         self.encoder.sat().set_interrupts(self.interrupts.clone());
         // Live frames get fresh activation literals in the new solver; their
-        // XOR rows died with the old engine and will be re-added by replay.
+        // XOR rows died with the old engine and are re-added by the replay.
         for frame in &mut self.frames {
-            frame.activation = self.encoder.sat().new_var().positive();
+            frame.activation = frame
+                .activation
+                .map(|_| self.encoder.sat().new_var().positive());
+            frame.encoded = 0;
             frame.xor_rows.clear();
+            frame.grew = false;
         }
-        // Replay journal first, then whatever was already pending, so the
-        // encode order (and thus the encoding) matches assertion order.
-        let mut requeued = std::mem::take(&mut self.encoded);
-        requeued.append(&mut self.pending);
-        self.pending = requeued;
         if !self.rebuild {
             self.stats.compactions += 1;
             self.stats.dead_clauses_reclaimed += self.dead_entries;
         }
         self.dead_entries = 0;
+        self.reencode = false;
+    }
+
+    /// Queues an assertion in the innermost frame.
+    fn queue(&mut self, assertion: Assertion) {
+        let frame = self.frames.last_mut().expect("the base level is live");
+        frame.assertions.push(assertion);
     }
 
     /// Asserts a boolean term in the current frame.
     pub fn assert_term(&mut self, t: TermId) {
-        self.pending
-            .push((self.current_guard(), Assertion::Term(t)));
+        self.queue(Assertion::Term(t));
     }
 
     /// Asserts a native XOR constraint over individual bits of discrete
     /// variables: `⊕ bit ⊕ ... = rhs` (the `H_xor` fast path).
     pub fn assert_xor_bits(&mut self, bits: Vec<(TermId, u32)>, rhs: bool) {
-        self.pending
-            .push((self.current_guard(), Assertion::XorBits(bits, rhs)));
+        self.queue(Assertion::XorBits(bits, rhs));
     }
 
     /// Blocks a projected model in the current frame (see
     /// [`Oracle::block_model`](crate::Oracle::block_model)): boolean and
     /// bit-vector projections are queued as one guarded clause over their
-    /// bits, journalled like any other assertion so compaction replays it;
-    /// anything else falls back to
+    /// bits, kept with the frame like any other assertion so a re-encode
+    /// replays it; anything else falls back to
     /// [`block_model_by_terms`](crate::block_model_by_terms).
     pub fn block_model(&mut self, tm: &mut TermManager, projection: &[TermId], model: &[BvValue]) {
         match blocking_pairs(tm, projection, model) {
@@ -372,8 +338,7 @@ impl IncrementalContext {
     /// Queues an already-validated blocked model in the current frame (a
     /// parallel backend's share of [`IncrementalContext::block_model`]).
     pub(crate) fn block_pairs(&mut self, pairs: Vec<(TermId, BvValue)>) {
-        self.pending
-            .push((self.current_guard(), Assertion::Block(pairs)));
+        self.queue(Assertion::Block(pairs));
     }
 
     /// Declares a variable whose bits must exist in every encoding, even if
@@ -410,11 +375,13 @@ impl IncrementalContext {
 
     fn check_view(&mut self, mut view: TmView<'_>) -> Result<SolverResult> {
         self.stats.checks += 1;
-        self.maybe_compact();
+        if self.reencode {
+            self.reencode_live_frames();
+        }
         self.encode_view(&mut view)?;
         self.assumptions.clear();
         self.assumptions
-            .extend(self.frames.iter().map(|f| f.activation));
+            .extend(self.frames.iter().filter_map(|f| f.activation));
         Ok(solve_with_theory(
             &mut self.encoder,
             &self.assumptions,
@@ -433,27 +400,31 @@ impl IncrementalContext {
             self.encoder
                 .ensure_var_bits(view.tm(), self.tracked_vars[i])?;
         }
-        // Encode front-to-back, removing entries only once they are in the
-        // solver: an encoding error leaves the failing assertion (and the
-        // rest) pending, so a retried `check` reports the same error instead
-        // of silently answering for a weakened formula.
-        let pending = std::mem::take(&mut self.pending);
-        let mut encoded = 0;
-        let result = loop {
-            let Some((guard, assertion)) = pending.get(encoded) else {
-                break Ok(());
-            };
-            match self.encode_one(view, *guard, assertion) {
-                Ok(()) => encoded += 1,
-                Err(error) => break Err(error),
+        // Encode front to back, counting an assertion as encoded only once
+        // it is in the solver: an encoding error leaves the failing
+        // assertion (and the rest) pending, so a retried `check` reports the
+        // same error instead of silently answering for a weakened formula.
+        for frame in &mut self.frames {
+            while let Some(assertion) = frame.assertions.get(frame.encoded) {
+                let vars = self.encoder.sat().num_vars();
+                let row = encode_assertion(
+                    &mut self.encoder,
+                    view,
+                    assertion,
+                    frame.activation,
+                    &mut self.preprocess_cache,
+                    &mut self.stats.preprocess_cache_hits,
+                );
+                // Only terms count: XOR slack bits and activation literals
+                // are not decided once their frame is gone.  A term that
+                // failed part-way may have allocated gates too.
+                frame.grew |=
+                    matches!(assertion, Assertion::Term(_)) && self.encoder.sat().num_vars() > vars;
+                frame.xor_rows.extend(row?);
+                frame.encoded += 1;
             }
-        };
-        self.pending = pending;
-        // Everything that made it into the solver moves to the replay
-        // journal, where it stays until its frame is popped (or forever, for
-        // base-level assertions).
-        self.encoded.extend(self.pending.drain(..encoded));
-        result
+        }
+        Ok(())
     }
 
     /// Brings the encoder up to date (tracked-variable bits, pending
@@ -480,39 +451,6 @@ impl IncrementalContext {
     /// its read-only lookahead through it).
     pub(crate) fn encoder_mut(&mut self) -> &mut Encoder {
         &mut self.encoder
-    }
-
-    fn encode_one(
-        &mut self,
-        view: &mut TmView<'_>,
-        guard_id: Option<u64>,
-        assertion: &Assertion,
-    ) -> Result<()> {
-        // Resolve the frame id to its *current* activation literal only now:
-        // a compaction between queueing and encoding re-allocates activation
-        // literals, and the id indirection is what keeps journal entries
-        // valid across that.
-        let guard = guard_id.map(|id| {
-            self.frames
-                .iter()
-                .find(|f| f.id == id)
-                .expect("pending entry belongs to a live frame")
-                .activation
-        });
-        let row = encode_assertion(
-            &mut self.encoder,
-            view,
-            assertion,
-            guard,
-            &mut self.preprocess_cache,
-            &mut self.stats.preprocess_cache_hits,
-        )?;
-        if let (Some(row), Some(id)) = (row, guard_id) {
-            if let Some(frame) = self.frames.iter_mut().find(|f| f.id == id) {
-                frame.xor_rows.push(row);
-            }
-        }
-        Ok(())
     }
 
     /// Value of a variable in the most recent satisfying assignment.
@@ -780,13 +718,12 @@ mod tests {
         let f = tm.mk_real_lt(zero, r).unwrap();
         let g = assert_bv_lt(&mut tm, b, 8, 4);
         let mut ctx = IncrementalContext::new();
-        ctx.set_compaction_threshold(1);
         ctx.track_var(b);
         ctx.assert_term(f);
         ctx.assert_term(g);
         assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
-        // Two retired entries outnumber nothing but equal the live journal,
-        // which arms a compaction for the next check.
+        // The frame's comparisons allocate gates, so its pop arms a
+        // re-encode for the next check.
         ctx.push();
         let h1 = assert_bv_lt(&mut tm, b, 4, 4);
         let h2 = assert_bv_lt(&mut tm, b, 2, 4);
@@ -819,11 +756,81 @@ mod tests {
     }
 
     #[test]
+    fn a_frame_that_grows_the_encoding_arms_exactly_one_reencode() {
+        let mut tm = TermManager::new();
+        let x = tm.mk_var("x", Sort::BitVec(5));
+        let mut ctx = IncrementalContext::new();
+        ctx.track_var(x);
+        let f = assert_bv_lt(&mut tm, x, 20, 5);
+        ctx.assert_term(f);
+        assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
+        // A new comparison allocates gates; the frame keeps its solver
+        // while it lives.
+        ctx.push();
+        let g = assert_bv_lt(&mut tm, x, 10, 5);
+        ctx.assert_term(g);
+        ctx.block_model(&mut tm, &[x], &[BvValue::new(0, 5)]);
+        assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
+        assert_eq!(ctx.stats().compactions, 0);
+        ctx.pop();
+        // The pop arms one re-encode, which sheds both of the frame's
+        // encoded assertions; the checks after it keep the fresh solver.
+        for _ in 0..3 {
+            assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
+        }
+        let stats = ctx.stats();
+        assert_eq!(stats.compactions, 1);
+        assert_eq!(stats.dead_clauses_reclaimed, 2);
+        assert_eq!(stats.rebuilds, 0, "a compaction is not a rebuild");
+        // Two growing frames popped back to back arm one re-encode.
+        ctx.push();
+        let h = assert_bv_lt(&mut tm, x, 9, 5);
+        ctx.assert_term(h);
+        ctx.push();
+        let k = assert_bv_lt(&mut tm, x, 7, 5);
+        ctx.assert_term(k);
+        assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
+        ctx.pop();
+        ctx.pop();
+        assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
+        assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
+        let stats = ctx.stats();
+        assert_eq!(stats.compactions, 2);
+        assert_eq!(stats.dead_clauses_reclaimed, 4);
+    }
+
+    #[test]
+    fn frames_that_allocate_no_variables_never_reencode() {
+        // XOR rows (their slack bits do not count), blocked models and
+        // terms the base level already encoded leave no variable behind.
+        let mut tm = TermManager::new();
+        let x = tm.mk_var("x", Sort::BitVec(4));
+        let f = assert_bv_lt(&mut tm, x, 12, 4);
+        let mut ctx = IncrementalContext::new();
+        ctx.track_var(x);
+        ctx.assert_term(f);
+        for bound in [5u128, 4, 3] {
+            ctx.push();
+            ctx.assert_xor_bits(vec![(x, 0), (x, 1)], true);
+            ctx.block_model(&mut tm, &[x], &[BvValue::new(bound, 4)]);
+            ctx.assert_term(f);
+            assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
+            let v = ctx.model_value(&tm, x).unwrap().as_bv().unwrap();
+            assert_eq!(v.as_u128().count_ones() % 2, 1);
+            assert_ne!(v.as_u128(), bound);
+            ctx.pop();
+        }
+        assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
+        let stats = ctx.stats();
+        assert_eq!(stats.compactions, 0);
+        assert_eq!(stats.dead_clauses_reclaimed, 0);
+    }
+
+    #[test]
     fn compaction_reclaims_dead_frames_and_preserves_live_ones() {
         let mut tm = TermManager::new();
         let x = tm.mk_var("x", Sort::BitVec(5));
         let mut ctx = IncrementalContext::new();
-        ctx.set_compaction_threshold(1);
         ctx.track_var(x);
         let f = assert_bv_lt(&mut tm, x, 20, 5);
         ctx.assert_term(f);
@@ -834,8 +841,8 @@ mod tests {
         ctx.assert_term(g);
         ctx.assert_xor_bits(vec![(x, 0), (x, 1), (x, 2)], true);
         assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
-        // Churn short-lived inner frames; each pop retires journal entries
-        // and the threshold of 1 arms a compaction for the next check.
+        // Churn short-lived inner frames; each one's new comparison
+        // allocates gates, so its pop arms a re-encode for the next check.
         for bound in [9u128, 8, 7, 6, 5] {
             ctx.push();
             let h = assert_bv_lt(&mut tm, x, bound, 5);
@@ -844,8 +851,8 @@ mod tests {
             ctx.pop();
         }
         let stats = ctx.stats();
-        assert!(stats.compactions > 0, "threshold 1 must trigger compaction");
-        assert!(stats.dead_clauses_reclaimed > 0);
+        assert_eq!(stats.compactions, 4, "the last pop has no check after it");
+        assert_eq!(stats.dead_clauses_reclaimed, 4);
         assert_eq!(stats.rebuilds, 0, "compaction is not a rebuild");
         // The live frame survived every re-encode: enumerating must yield
         // exactly the odd-parity values below 10, i.e. {1, 2, 4, 7, 9}.
@@ -874,15 +881,57 @@ mod tests {
     }
 
     #[test]
+    fn a_live_outer_frame_survives_an_inner_reencode() {
+        // The outer frame's parity row must hold after the inner frame's
+        // re-encode, under a fresh activation literal, and still die with
+        // its own pop.
+        let mut tm = TermManager::new();
+        let x = tm.mk_var("x", Sort::BitVec(3));
+        let mut ctx = IncrementalContext::new();
+        ctx.track_var(x);
+        // Allocate `x`'s bits first, so the outer frame's first activation
+        // literal is not the one a re-encode allocates first.
+        assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
+        ctx.push();
+        ctx.assert_xor_bits(vec![(x, 0), (x, 1), (x, 2)], true);
+        assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
+        let outer = ctx.frames[1].activation;
+        ctx.push();
+        let g = assert_bv_lt(&mut tm, x, 6, 3);
+        ctx.assert_term(g);
+        assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
+        ctx.pop();
+        let odd = enumerate(&mut ctx, &mut tm, x);
+        assert_eq!(ctx.stats().compactions, 1);
+        assert_ne!(ctx.frames[1].activation, outer);
+        assert_eq!(odd, vec![1, 2, 4, 7]);
+        ctx.pop();
+        assert_eq!(enumerate(&mut ctx, &mut tm, x), (0..8).collect::<Vec<_>>());
+    }
+
+    /// Every value of `x` in a new frame, sorted.
+    fn enumerate(ctx: &mut IncrementalContext, tm: &mut TermManager, x: TermId) -> Vec<u128> {
+        ctx.push();
+        let mut values = Vec::new();
+        while ctx.check(tm).unwrap() == SolverResult::Sat {
+            let v = ctx.projected_model(tm, &[x]).unwrap();
+            values.push(v[0].as_u128());
+            ctx.block_model(tm, &[x], &v);
+        }
+        ctx.pop();
+        values.sort_unstable();
+        values
+    }
+
+    #[test]
     fn compaction_replay_serves_preprocessing_from_the_cache() {
-        // A compaction re-encodes the live journal into a fresh solver; the
+        // A compaction re-encodes the live frames into a fresh solver; the
         // replay must be served from the term-id-keyed preprocessing memo
         // rather than re-running preprocessing, and must not change the
         // verdict.
         let mut tm = TermManager::new();
         let x = tm.mk_var("x", Sort::BitVec(5));
         let mut ctx = IncrementalContext::new();
-        ctx.set_compaction_threshold(1);
         ctx.track_var(x);
         let f = assert_bv_lt(&mut tm, x, 20, 5);
         ctx.assert_term(f);
@@ -892,31 +941,13 @@ mod tests {
         let g = assert_bv_lt(&mut tm, x, 10, 5);
         ctx.assert_term(g);
         assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
-        ctx.pop(); // retires `g`; threshold 1 arms a compaction
+        ctx.pop(); // `g` allocated gates, so the pop arms a compaction
         assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
         let stats = ctx.stats();
-        assert!(stats.compactions > 0, "threshold 1 must trigger compaction");
-        // The journal replay re-encoded `f` from the cache.
+        assert_eq!(stats.compactions, 1);
+        // The replay re-encoded `f` from the cache.
         assert!(stats.preprocess_cache_hits >= 1);
         assert_eq!(stats.rebuilds, 0);
-    }
-
-    #[test]
-    fn default_threshold_never_compacts_small_workloads() {
-        let mut tm = TermManager::new();
-        let x = tm.mk_var("x", Sort::BitVec(4));
-        let mut ctx = IncrementalContext::new();
-        ctx.track_var(x);
-        for bound in [5u128, 4, 3] {
-            ctx.push();
-            let g = assert_bv_lt(&mut tm, x, bound, 4);
-            ctx.assert_term(g);
-            assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
-            ctx.pop();
-        }
-        let stats = ctx.stats();
-        assert_eq!(stats.compactions, 0);
-        assert_eq!(stats.dead_clauses_reclaimed, 0);
     }
 
     #[test]
@@ -950,73 +981,77 @@ mod tests {
         assert!(ctx.check(&mut tm).is_err());
     }
 
+    /// Three kinds of pop: one retiring an encoded frame, one retiring a
+    /// frame that was never checked, and two retiring nested encoded frames
+    /// before a single check; then a retiring pop with no check after it.
+    /// Returns the stats after the last check and at the end.
+    fn retiring_pops(mut ctx: IncrementalContext) -> (OracleStats, OracleStats) {
+        let mut tm = TermManager::new();
+        let x = tm.mk_var("x", Sort::BitVec(5));
+        ctx.track_var(x);
+        let f = assert_bv_lt(&mut tm, x, 20, 5);
+        ctx.assert_term(f);
+        assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
+        // Encoded frame, popped: the next check rebuilds.
+        ctx.push();
+        let g = assert_bv_lt(&mut tm, x, 10, 5);
+        ctx.assert_term(g);
+        ctx.assert_xor_bits(vec![(x, 0), (x, 1)], true);
+        assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
+        ctx.pop();
+        assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
+        // Never-checked frame, popped: nothing was encoded, no rebuild.
+        ctx.push();
+        let h = assert_bv_lt(&mut tm, x, 0, 5);
+        ctx.assert_term(h);
+        ctx.pop();
+        assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
+        // Two encoded frames popped back to back: one rebuild.
+        ctx.push();
+        ctx.assert_term(g);
+        ctx.push();
+        let k = assert_bv_lt(&mut tm, x, 2, 5);
+        ctx.block_model(&mut tm, &[x], &[BvValue::new(0, 5)]);
+        ctx.assert_term(k);
+        assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
+        assert_eq!(
+            ctx.model_value(&tm, x).unwrap().as_bv().unwrap().as_u128(),
+            1
+        );
+        ctx.pop();
+        ctx.pop();
+        assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
+        let after_checks = ctx.stats();
+        ctx.push();
+        ctx.assert_term(g);
+        assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
+        ctx.pop();
+        (after_checks, ctx.stats())
+    }
+
     #[test]
     fn rebuild_mode_rebuilds_once_per_check_after_a_retiring_pop() {
-        // Three kinds of pop: one retiring an encoded frame, one retiring a
-        // frame that was never checked, and two retiring nested encoded
-        // frames before a single check.  Rebuild mode re-encodes exactly
-        // before the checks that follow encoded garbage; the default mode
-        // keeps its encoder throughout.  A final retiring pop with no check
-        // after it still counts, because the pop that arms a rebuild is
-        // where it is counted.
-        let run = |mut ctx: IncrementalContext| {
-            let mut tm = TermManager::new();
-            let x = tm.mk_var("x", Sort::BitVec(5));
-            ctx.track_var(x);
-            let f = assert_bv_lt(&mut tm, x, 20, 5);
-            ctx.assert_term(f);
-            assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
-            // Encoded frame, popped: the next check rebuilds.
-            ctx.push();
-            let g = assert_bv_lt(&mut tm, x, 10, 5);
-            ctx.assert_term(g);
-            ctx.assert_xor_bits(vec![(x, 0), (x, 1)], true);
-            assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
-            ctx.pop();
-            assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
-            // Never-checked frame, popped: nothing was encoded, no rebuild.
-            ctx.push();
-            let h = assert_bv_lt(&mut tm, x, 0, 5);
-            ctx.assert_term(h);
-            ctx.pop();
-            assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
-            // Two encoded frames popped back to back: one rebuild.
-            ctx.push();
-            ctx.assert_term(g);
-            ctx.push();
-            let k = assert_bv_lt(&mut tm, x, 2, 5);
-            ctx.block_model(&mut tm, &[x], &[BvValue::new(0, 5)]);
-            ctx.assert_term(k);
-            assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
-            assert_eq!(
-                ctx.model_value(&tm, x).unwrap().as_bv().unwrap().as_u128(),
-                1
-            );
-            ctx.pop();
-            ctx.pop();
-            assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
-            let after_checks = ctx.stats();
-            ctx.push();
-            ctx.assert_term(g);
-            assert_eq!(ctx.check(&mut tm).unwrap(), SolverResult::Sat);
-            ctx.pop();
-            (after_checks, ctx.stats())
-        };
-        // Rebuild mode ignores the compaction threshold.
-        let mut rebuilding = IncrementalContext::rebuilding(SolverConfig::default());
-        rebuilding.set_compaction_threshold(1_000);
-        let (rebuilt, dangling) = run(rebuilding);
+        // Rebuild mode re-encodes exactly before the checks that follow
+        // encoded garbage, and the pop that arms a rebuild is where it is
+        // counted, so the final unchecked pop still counts.  Every frame
+        // of `retiring_pops` that reaches a check asserts a comparison the
+        // fresh solver has no gates for, so the default mode re-encodes
+        // before the same two checks, counted as compactions.
+        let (rebuilt, dangling) =
+            retiring_pops(IncrementalContext::rebuilding(SolverConfig::default()));
         assert_eq!(rebuilt.checks, 6);
         assert_eq!(rebuilt.rebuilds, 2);
         assert_eq!(rebuilt.compactions, 0);
         assert_eq!(rebuilt.dead_clauses_reclaimed, 0);
         assert_eq!(dangling.rebuilds, 3);
         assert_eq!(dangling.compactions, 0);
-        let (incremental, dangling) = run(IncrementalContext::new());
+        let (incremental, dangling) = retiring_pops(IncrementalContext::new());
         assert_eq!(incremental.checks, 6);
         assert_eq!(incremental.rebuilds, 0);
-        assert_eq!(incremental.compactions, 0);
+        assert_eq!(incremental.compactions, 2);
+        assert_eq!(incremental.dead_clauses_reclaimed, 5);
         assert_eq!(dangling.rebuilds, 0);
+        assert_eq!(dangling.compactions, 2);
     }
 
     #[test]

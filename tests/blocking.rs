@@ -525,7 +525,7 @@ fn blocks_are_scoped_to_their_frame() {
     }
 }
 
-/// Compaction re-encodes the live journal into a fresh solver: base-level
+/// Compaction re-encodes the live frames into a fresh solver: base-level
 /// blocks and the blocks of a live frame must come back with it.
 #[test]
 fn blocks_survive_compaction() {
@@ -534,15 +534,21 @@ fn blocks_survive_compaction() {
     let eight = tm.mk_bv_const(8, 4);
     let f = tm.mk_bv_ult(x, eight).unwrap();
     let mut oracle = IncrementalContext::new();
-    oracle.set_compaction_threshold(1);
     oracle.track_var(x);
     oracle.assert_term(f);
     oracle.block_model(&mut tm, &[x], &[BvValue::new(0, 4)]);
     oracle.push();
     oracle.block_model(&mut tm, &[x], &[BvValue::new(1, 4)]);
-    for _ in 0..4 {
-        // Each cell leaves its blocks behind as frame garbage.
+    for bound in 9..13 {
+        // Each cell leaves its blocks behind as frame garbage, inside a
+        // frame whose new comparison allocates gates, so popping it
+        // re-encodes the live frames.
+        oracle.push();
+        let c = tm.mk_bv_const(bound, 4);
+        let below = tm.mk_bv_ult(x, c).unwrap();
+        oracle.assert_term(below);
         let values = values_in_new_frame(&mut oracle, &mut tm, x);
+        oracle.pop();
         assert_eq!(values, (2..8).collect::<Vec<_>>());
     }
     assert!(oracle.stats().compactions >= 2, "{:?}", oracle.stats());

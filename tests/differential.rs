@@ -25,7 +25,7 @@
 mod common;
 
 use common::deterministic_parts;
-use pact::{BackendSpec, CountOutcome, CountReport, Oracle, OracleFactory, Session};
+use pact::{BackendSpec, CountOutcome, CountReport, HashFamily, Oracle, OracleFactory, Session};
 use pact_benchgen::{generate_for_logic, GenParams, Instance};
 use pact_ir::logic::Logic;
 use pact_ir::{Sort, TermId, TermManager};
@@ -284,20 +284,34 @@ fn exact_counts_match_brute_force_on_every_backend() {
     }
 }
 
+/// Counts `instance` with `family` on `spec` (seed 11, 9 iterations,
+/// ε = 0.8).
+fn count_tiny(instance: &TinyInstance, family: HashFamily, spec: BackendSpec) -> CountReport {
+    let mut session = Session::builder(instance.tm.clone())
+        .assert_all(&instance.asserts)
+        .project_all(&instance.projection)
+        .family(family)
+        .seed(11)
+        .iterations(9)
+        .epsilon(0.8)
+        .backend(spec)
+        .build()
+        .unwrap();
+    session.count().unwrap()
+}
+
 #[test]
 fn aggressive_compaction_preserves_bit_identical_reports() {
-    // Frame-garbage compaction may change the SAT search trajectory (learnt
+    // Word-level hashes allocate gates in every cell's frame, so on the
+    // default backend each pop of such a cell re-encodes the live frames
+    // into a fresh solver.  That changes the SAT search trajectory (learnt
     // clauses die with the old solver) but never the counting trajectory:
     // cell sizes are exact bounded enumerations, so the deterministic
-    // report slice must match the non-compacting incremental backend
-    // bit for bit.  Threshold 1 compacts as aggressively as possible.
-    // The tiny instances finish each round in one or two cells, so frame
-    // garbage accumulates only as an oracle is about to be dropped.  A
-    // wider instance (496 models over 9 bits, ~6.8× the ε = 0.8 saturation
-    // threshold) forces the galloping search through several saturated
-    // cells per round — each pop retires a cell's worth of blocking
-    // clauses while the oracle still has checks ahead of it, which is
-    // exactly the workload compaction exists for.
+    // report slice must match the rebuild backend's bit for bit.  The tiny
+    // instances finish each round in one or two cells; a wider instance
+    // (496 models over 9 bits, ~6.8× the ε = 0.8 saturation threshold)
+    // forces the galloping search through several saturated cells per
+    // round, each re-encode replaying a live formula with checks ahead.
     let mut churn_tm = TermManager::new();
     let x = churn_tm.mk_var("x", Sort::BitVec(9));
     let c = churn_tm.mk_bv_const(16, 9);
@@ -311,40 +325,25 @@ fn aggressive_compaction_preserves_bit_identical_reports() {
 
     let mut total_compactions = 0;
     for instance in tiny_instances().into_iter().chain([churn]) {
-        let compacting = OracleFactory::new(|config| {
-            let mut ctx = pact_solver::IncrementalContext::with_config(config);
-            ctx.set_compaction_threshold(1);
-            Box::new(ctx)
-        });
-        let run = |factory: OracleFactory| {
-            let mut session = Session::builder(instance.tm.clone())
-                .assert_all(&instance.asserts)
-                .project_all(&instance.projection)
-                .seed(11)
-                .iterations(9)
-                .epsilon(0.8)
-                .oracle_factory(factory)
-                .build()
-                .unwrap();
-            session.count().unwrap()
-        };
-        let reference = run(OracleFactory::from_spec(BackendSpec::Incremental));
-        let compacted = run(compacting);
-        assert_eq!(
-            deterministic_parts(&compacted),
-            deterministic_parts(&reference),
-            "{}: compaction changed the deterministic report slice",
-            instance.name
-        );
-        assert_eq!(
-            compacted.stats.oracle.rebuilds, 0,
-            "{}: a compaction was miscounted as a rebuild",
-            instance.name
-        );
-        total_compactions += compacted.stats.oracle.compactions;
+        for family in [HashFamily::Prime, HashFamily::Shift] {
+            let reference = count_tiny(&instance, family, BackendSpec::Rebuild);
+            let compacted = count_tiny(&instance, family, BackendSpec::Incremental);
+            assert_eq!(
+                deterministic_parts(&compacted),
+                deterministic_parts(&reference),
+                "{} ({family:?}): compaction changed the deterministic report slice",
+                instance.name
+            );
+            assert_eq!(
+                compacted.stats.oracle.rebuilds, 0,
+                "{} ({family:?}): a compaction was miscounted as a rebuild",
+                instance.name
+            );
+            total_compactions += compacted.stats.oracle.compactions;
+        }
     }
-    // The threshold-1 runs must actually have exercised the machinery
-    // somewhere in the sweep, or the equality above proves nothing.
+    // The sweep must actually have exercised the re-encode somewhere, or
+    // the equality above proves nothing.
     assert!(
         total_compactions > 0,
         "no instance ever triggered a compaction"
@@ -360,7 +359,10 @@ fn interning_stress_is_bit_identical_and_serves_preprocessing_from_cache() {
     // deterministic report slice, and every backend must serve at least one
     // preprocessing result from its term-id-keyed cache: the galloping
     // search re-asserts structurally identical terms across checks, which
-    // hash consing resolves to previously-seen ids.
+    // hash consing resolves to previously-seen ids.  The count hashes with
+    // `pact_prime`, whose hash constraints are such terms; `pact_xor` rows
+    // are not terms, and the default backend keeps its solver (and never
+    // re-preprocesses) across frames that hold only XOR rows and blocks.
     let build_spine = |tm: &mut TermManager, x: TermId, y: TermId| -> Vec<TermId> {
         let mut spine = tm.mk_bv_xor(x, y).unwrap();
         for i in 0..8u128 {
@@ -387,21 +389,22 @@ fn interning_stress_is_bit_identical_and_serves_preprocessing_from_cache() {
     assert_eq!(rebuilt, asserts, "identical construction, identical ids");
     assert_eq!(tm.len(), interned, "a rebuild must not grow the store");
 
-    let run = |factory: OracleFactory| {
+    let run = |factory: &OracleFactory| {
         let mut session = Session::builder(tm.clone())
             .assert_all(&asserts)
             .project_all(&[x, y])
+            .family(HashFamily::Prime)
             .seed(7)
             .iterations(3)
             .epsilon(0.8)
-            .oracle_factory(factory)
+            .oracle_factory(factory.clone())
             .build()
             .unwrap();
         session.count().unwrap()
     };
-    let reference = run(OracleFactory::default());
+    let reference = run(&OracleFactory::default());
     for (name, factory) in factories() {
-        let report = run(factory);
+        let report = run(&factory);
         assert_eq!(
             deterministic_parts(&report),
             deterministic_parts(&reference),
